@@ -15,9 +15,8 @@ from math import gcd as igcd, lcm as ilcm, tau as TWO_PI
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
-from .gf import FieldSpec
 from .multfun import divisors, mu, phi
-from .polyring import Poly, from_code, poly_gcd, t_gen
+from .polyring import Poly, from_code, max_table_entries, poly_gcd, t_gen
 
 DEFAULT_GROUP_BUDGET = 10 ** 6
 
@@ -35,92 +34,116 @@ def _prime_factorization_int(n: int):
     return out
 
 
-def _mulmod_factory(field: FieldSpec, R: Poly):
-    """Residue multiplication on integer codes mod R."""
-    q = field.q
-    rdeg = R.deg
-    if rdeg == 0:
-        return lambda a, b: 0
-    if q == 2:
-        rcode = R.code
+class _Residues:
+    """Batched arithmetic on residues mod R, deg R >= 1.
 
-        def mm2(a, b):
-            r = 0
-            while a:
-                if a & 1:
-                    r ^= b
-                a >>= 1
-                b <<= 1
-            bl = r.bit_length()
-            while bl > rdeg:
-                r ^= rcode << (bl - 1 - rdeg)
-                bl = r.bit_length()
-            return r
-        return mm2
-    if field.e == 1:
-        p = q
-        # slot width must hold convolution digit sums <= rdeg (p-1)^2
-        shift = max(9, (rdeg * (p - 1) ** 2).bit_length() + 1)
-        mask = (1 << shift) - 1
-        # T^k mod R for k = rdeg .. 2rdeg-2, as digit tuples
-        red = {}
-        powk = (t_gen(field) ** rdeg) % R
+    A residue is a row of its deg R coefficients, low degree first; a batch is
+    an (n, deg R) int64 array.  The coefficient arithmetic follows the field:
+    prime fields convolve integers and reduce mod p, extension fields look
+    products up in a q x q table and add with xor (p = 2) or with a q x q
+    addition table (odd p).
+    """
+
+    def __init__(self, R: Poly):
+        F = R.field
+        q, rdeg = F.q, R.deg
+        self.q, self.rdeg, self.p = q, rdeg, F.p
+        self.qpow = np.array([q ** i for i in range(rdeg)], dtype=np.int64)
+        # reduction rows: T^k mod R for k = rdeg .. 2 rdeg - 2
+        self.red_rows = {}
+        powk = (t_gen(F) ** rdeg) % R
         for k in range(rdeg, 2 * rdeg - 1):
-            red[k] = tuple(powk.coeffs[i] if i <= powk.deg else 0 for i in range(rdeg))
-            powk = (powk.shift(1)) % R
-        pack_cache = {}
+            self.red_rows[k] = np.array([powk.coeffs[i] if i <= powk.deg else 0
+                                         for i in range(rdeg)], dtype=np.int64)
+            powk = powk.shift(1) % R
+        self.mul_table = self.add_table = None
+        if F.e == 1:
+            return
+        log = np.array(F.log, dtype=np.int64)
+        exp = np.array(F.exp, dtype=np.int64)
+        self.mul_table = np.zeros((q, q), dtype=np.int64)
+        self.mul_table[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
+        if F.p != 2:
+            p, x = F.p, np.arange(q, dtype=np.int64)
+            self.add_table = np.zeros((q, q), dtype=np.int64)
+            w = 1
+            for _ in range(F.e):
+                self.add_table += ((x[:, None] // w) % p + (x[None, :] // w) % p) % p * w
+                w *= p
 
-        def pack(c):
-            v = pack_cache.get(c)
-            if v is None:
-                x, v, s = c, 0, 0
-                while x:
-                    v |= (x % p) << s
-                    x //= p
-                    s += shift
-                pack_cache[c] = v
-            return v
+    def digits(self, codes):
+        out = np.empty((len(codes), self.rdeg), dtype=np.int64)
+        c = np.asarray(codes, dtype=np.int64)
+        for i in range(self.rdeg):
+            out[:, i] = c % self.q
+            c = c // self.q
+        return out
 
-        def mmp(a, b):
-            prod = pack(a) * pack(b)
-            digits = []
-            while prod:
-                digits.append((prod & mask) % p)
-                prod >>= shift
-            for k in range(len(digits) - 1, rdeg - 1, -1):
-                c = digits[k]
-                if c:
-                    row = red[k]
-                    for i in range(rdeg):
-                        ri = row[i]
-                        if ri:
-                            digits[i] = (digits[i] + c * ri) % p
-                digits[k] = 0
-            code = 0
-            for d in reversed(digits[:rdeg]):
-                code = code * q + d
-            return code
-        return mmp
+    def codes(self, A):
+        return A @ self.qpow
 
-    def mm_generic(a, b):
-        return ((from_code(field, a) * from_code(field, b)) % R).code
-    return mm_generic
+    def _acc(self, dst, x):
+        """dst += x in place, coefficientwise in an extension field."""
+        if self.add_table is None:
+            dst ^= x
+        else:
+            dst[...] = self.add_table[dst, x]
+
+    def mul(self, A, B):
+        """Row-wise product of two batches; B may also be a single row."""
+        rdeg, p, mt = self.rdeg, self.p, self.mul_table
+        C = np.zeros((A.shape[0], 2 * rdeg - 1), dtype=np.int64)
+        if mt is None:
+            for i in range(rdeg):
+                C[:, i:i + rdeg] += A[:, i][:, None] * B
+            C %= p
+            for k in range(2 * rdeg - 2, rdeg - 1, -1):
+                C[:, :rdeg] += C[:, k][:, None] * self.red_rows[k][None, :]
+            return C[:, :rdeg] % p
+        for i in range(rdeg):
+            self._acc(C[:, i:i + rdeg], mt[A[:, i][:, None], B])
+        for k in range(2 * rdeg - 2, rdeg - 1, -1):
+            self._acc(C[:, :rdeg], mt[C[:, k][:, None], self.red_rows[k][None, :]])
+        return C[:, :rdeg].copy()
+
+    def pow(self, A, e):
+        result = np.zeros_like(A)
+        result[:, 0] = 1
+        base = A
+        while e:
+            if e & 1:
+                result = self.mul(result, base)
+            e >>= 1
+            if e:
+                base = self.mul(base, base)
+        return result
+
+
+def _checked_phi(R: Poly, budget: int = None) -> int:
+    """phi(R), after refusing a modulus that is not monic, a group beyond the
+    budget (default 10^6 units) or extension-field coefficient tables beyond
+    FFL_MAX_TABLE entries."""
+    if not R.is_monic():
+        raise PreconditionError("modulus must be monic")
+    limit = budget if budget is not None else DEFAULT_GROUP_BUDGET
+    size = phi(R)
+    if size > limit:
+        raise BudgetError(f"unit group of size {size} exceeds budget {limit}")
+    q, table_limit = R.field.q, max_table_entries()
+    if R.field.e > 1 and R.deg >= 1 and q * q > table_limit:
+        raise BudgetError(f"F_{q} coefficient tables of {q * q} entries exceed "
+                          f"budget {table_limit}")
+    return size
 
 
 class UnitGroup:
     """(F_q[T]/R)^* with canonical unit order, generator basis and additive dlog."""
 
     def __init__(self, R: Poly, budget: int = None):
-        if not R.is_monic():
-            raise PreconditionError("modulus must be monic")
         field = R.field
         self.field = field
         self.modulus = R
-        self.phi = phi(R)
-        limit = budget if budget is not None else DEFAULT_GROUP_BUDGET
-        if self.phi > limit:
-            raise BudgetError(f"unit group of size {self.phi} exceeds budget {limit}")
-        self.mulmod = _mulmod_factory(field, R)
+        self.phi = _checked_phi(R, budget)
         q = field.q
         if R.deg == 0:
             self.unit_codes = (0,)
@@ -136,172 +159,23 @@ class UnitGroup:
             self.unit_codes = tuple(c for c in range(1, q ** R.deg) if not marked[c])
             self.identity = 1
         assert len(self.unit_codes) == self.phi
-        self.index_of = {c: i for i, c in enumerate(self.unit_codes)}
-        if (field.e == 1 or field.p == 2) and self.phi > 64 and R.deg >= 1:
-            self._build_basis_vector()
-        else:
-            self._build_basis_scalar()
+        self._build_basis()
         self.lcm_order = ilcm(*self.orders) if self.orders else 1
         self._kernel_cache = {}
 
-    # -- group plumbing ---------------------------------------------------
-
-    def powmod(self, a: int, k: int) -> int:
-        if k < 0:
-            raise PreconditionError("negative exponent; use invmod")
-        result = self.identity
-        base = a
-        while k:
-            if k & 1:
-                result = self.mulmod(result, base)
-            base = self.mulmod(base, base)
-            k >>= 1
-        return result
-
-    def _adjust_generator(self, u: int, d: int, gens, orders, dlog) -> int:
-        """Rescale the coset pick so its absolute order equals its quotient order d."""
-        mm = self.mulmod
-        cvec = dlog[self.powmod(u, d)]
-        adjusted = u
-        for j, (gj, dj) in enumerate(zip(gens, orders)):
-            cj = cvec[j]
-            if cj == 0:
-                continue
-            g = igcd(d, dj)
-            assert cj % g == 0, "basis adjustment divisibility violated"
-            tj = (cj // g) * pow(d // g, -1, dj // g) % (dj // g)
-            if tj:
-                adjusted = mm(adjusted, self.powmod(gj, dj - tj))
-        assert self.powmod(adjusted, d) == self.identity
-        return adjusted
-
-    def _build_basis_scalar(self):
-        mm = self.mulmod
-        exp_primes = sorted(_prime_factorization_int(self.phi)) if self.phi > 1 else []
-        gens, orders = [], []
-        dlog = {self.identity: ()}
-        size = 1
-        while size < self.phi:
-            in_h = dlog.__contains__
-            # exponent of the quotient group, one prime at a time
-            m = self.phi
-            powers = {}
-            for ell in exp_primes:
-                while m % ell == 0:
-                    k = m // ell
-                    pw = {u: self.powmod(u, k) for u in self.unit_codes}
-                    if all(in_h(v) for v in pw.values()):
-                        m = k
-                        powers.clear()   # cached powers refer to the old m
-                    else:
-                        powers[ell] = pw
-                        break
-            # canonically smallest unit achieving quotient order m
-            best = None
-            for u in self.unit_codes:
-                ok = True
-                for ell in _prime_factorization_int(m):
-                    pw = powers.get(ell)
-                    v = pw[u] if pw is not None else self.powmod(u, m // ell)
-                    if in_h(v):
-                        ok = False
-                        break
-                if ok:
-                    best = u
-                    break
-            assert best is not None
-            adjusted = self._adjust_generator(best, m, gens, orders, dlog)
-            new_dlog = {}
-            for code, vec in dlog.items():
-                x = code
-                for e in range(m):
-                    new_dlog[x] = vec + (e,)
-                    x = mm(x, adjusted)
-            dlog = new_dlog
-            gens.append(adjusted)
-            orders.append(m)
-            size *= m
-        self.gens = tuple(gens)
-        self.orders = tuple(orders)
-        self.dims = self.orders
-        self.dlog = dlog
-
-    def _build_basis_vector(self):
-        """Same greedy construction, batched over all units with numpy.
-
-        Prime fields use integer convolutions mod p; characteristic-2 extension
-        fields use xor accumulation with a q x q multiplication table.
-        """
-        F, R = self.field, self.modulus
-        q, rdeg = F.q, R.deg
-        qpow = np.array([q ** i for i in range(rdeg)], dtype=np.int64)
-        red_rows = {}
-        powk = (t_gen(F) ** rdeg) % R
-        for k in range(rdeg, 2 * rdeg - 1):
-            red_rows[k] = np.array([powk.coeffs[i] if i <= powk.deg else 0
-                                    for i in range(rdeg)], dtype=np.int64)
-            powk = powk.shift(1) % R
-
-        def digits_of(codes):
-            out = np.empty((len(codes), rdeg), dtype=np.int64)
-            c = np.asarray(codes, dtype=np.int64)
-            for i in range(rdeg):
-                out[:, i] = c % q
-                c = c // q
-            return out
-
-        if F.e == 1:
-            p = F.p
-
-            def bulk_mul(A, B):
-                m = A.shape[0]
-                C = np.zeros((m, 2 * rdeg - 1), dtype=np.int64)
-                for i in range(rdeg):
-                    col = A[:, i]
-                    C[:, i:i + rdeg] += col[:, None] * B
-                C %= p
-                for k in range(2 * rdeg - 2, rdeg - 1, -1):
-                    ck = C[:, k]
-                    row = red_rows[k]
-                    C[:, :rdeg] += ck[:, None] * row[None, :]
-                return C[:, :rdeg] % p
-        else:
-            mul_table = np.array([[F.mul(a, b) for b in range(q)]
-                                  for a in range(q)], dtype=np.int64)
-
-            def bulk_mul(A, B):
-                m = A.shape[0]
-                C = np.zeros((m, 2 * rdeg - 1), dtype=np.int64)
-                for i in range(rdeg):
-                    C[:, i:i + rdeg] ^= mul_table[A[:, i][:, None], B]
-                for k in range(2 * rdeg - 2, rdeg - 1, -1):
-                    ck = C[:, k]
-                    row = red_rows[k]
-                    C[:, :rdeg] ^= mul_table[ck[:, None], row[None, :]]
-                return C[:, :rdeg].copy()
-
-        def bulk_pow(A, e):
-            result = np.zeros_like(A)
-            result[:, 0] = 1
-            base = A
-            while e:
-                if e & 1:
-                    result = bulk_mul(result, base)
-                e >>= 1
-                if e:
-                    base = bulk_mul(base, base)
-            return result
-
-        def codes_of(A):
-            return A @ qpow
-
-        U = digits_of(self.unit_codes)
-        exp_primes = sorted(_prime_factorization_int(self.phi))
+    def _build_basis(self):
+        """Greedy generator extraction, batched over all units with numpy."""
+        if self.phi == 1:
+            self.gens = self.orders = self.dims = ()
+            self.dlog = {self.identity: ()}
+            return
+        res = _Residues(self.modulus)
+        U = res.digits(self.unit_codes)
         gens, orders = [], []
         h_codes = np.array([self.identity], dtype=np.int64)
         h_vecs = np.zeros((1, 0), dtype=np.int64)
-        size = 1
-        while size < self.phi:
+        m = self.phi
+        while len(h_codes) < self.phi:
             h_sorted = np.sort(h_codes)
 
             def in_h(codes):
@@ -309,50 +183,64 @@ class UnitGroup:
                 pos = np.minimum(pos, len(h_sorted) - 1)
                 return h_sorted[pos] == codes
 
-            m = self.phi
+            # exponent of G/H, one prime at a time; it divides the previous
+            # one because H only grows, so the search starts there
             power_in_h = {}
-            for ell in exp_primes:
+            for ell in sorted(_prime_factorization_int(m)):
                 while m % ell == 0:
-                    k = m // ell
-                    inside = in_h(codes_of(bulk_pow(U, k)))
+                    inside = in_h(res.codes(res.pow(U, m // ell)))
                     if inside.all():
-                        m = k
+                        m //= ell
                         power_in_h.clear()   # exponents changed; caches stale
                     else:
                         power_in_h[ell] = inside
                         break
+            # canonically smallest unit achieving quotient order m
             ach = np.ones(self.phi, dtype=bool)
             for ell in _prime_factorization_int(m):
                 inside = power_in_h.get(ell)
                 if inside is None:
-                    inside = in_h(codes_of(bulk_pow(U, m // ell)))
+                    inside = in_h(res.codes(res.pow(U, m // ell)))
                 ach &= ~inside
             idx = np.nonzero(ach)[0]
             assert idx.size
-            best = int(self.unit_codes[idx[0]])
-            dlog_now = dict(zip(h_codes.tolist(), map(tuple, h_vecs.tolist())))
-            adjusted = self._adjust_generator(best, m, gens, orders, dlog_now)
+            g = self._adjust_generator(res, U[idx[0]:idx[0] + 1], m, gens, orders,
+                                       h_codes, h_vecs)
             # extend H by the new cyclic factor of order m
-            h_digits = digits_of(h_codes.tolist())
-            g_rep = np.repeat(digits_of([adjusted]), len(h_codes), axis=0)
             blocks_c = [h_codes]
             blocks_v = [np.concatenate(
                 [h_vecs, np.zeros((len(h_codes), 1), dtype=np.int64)], axis=1)]
-            cur = h_digits
+            cur = res.digits(h_codes)
             for e in range(1, m):
-                cur = bulk_mul(cur, g_rep)
-                blocks_c.append(codes_of(cur))
+                cur = res.mul(cur, g)
+                blocks_c.append(res.codes(cur))
                 blocks_v.append(np.concatenate(
                     [h_vecs, np.full((len(h_codes), 1), e, dtype=np.int64)], axis=1))
             h_codes = np.concatenate(blocks_c)
             h_vecs = np.concatenate(blocks_v)
-            gens.append(adjusted)
+            gens.append(int(res.codes(g)[0]))
             orders.append(m)
-            size *= m
         self.gens = tuple(gens)
         self.orders = tuple(orders)
         self.dims = self.orders
         self.dlog = dict(zip(h_codes.tolist(), map(tuple, h_vecs.tolist())))
+
+    def _adjust_generator(self, res, u, d, gens, orders, h_codes, h_vecs):
+        """Rescale the coset pick u (a one-row batch) so its absolute order equals
+        its quotient order d; h_codes/h_vecs list the subgroup H and its dlogs."""
+        ud = res.codes(res.pow(u, d))[0]
+        cvec = h_vecs[np.flatnonzero(h_codes == ud)[0]].tolist()
+        adjusted = u
+        for gj, dj, cj in zip(gens, orders, cvec):
+            if cj == 0:
+                continue
+            g = igcd(d, dj)
+            assert cj % g == 0, "basis adjustment divisibility violated"
+            tj = (cj // g) * pow(d // g, -1, dj // g) % (dj // g)
+            if tj:
+                adjusted = res.mul(adjusted, res.pow(res.digits([gj]), dj - tj))
+        assert res.codes(res.pow(adjusted, d))[0] == self.identity
+        return adjusted
 
     def dlog_of(self, a: Poly):
         """Exponent vector of a residue; None when gcd(a, R) != 1."""
@@ -360,21 +248,6 @@ class UnitGroup:
             return ()
         r = (a % self.modulus).code
         return self.dlog.get(r)
-
-    def invmod(self, a: int) -> int:
-        vec = self.dlog[a]
-        out = self.identity
-        for g, d, x in zip(self.gens, self.orders, vec):
-            if x:
-                out = self.mulmod(out, self.powmod(g, d - x))
-        return out
-
-    def code_of_vec(self, vec) -> int:
-        out = self.identity
-        for g, x in zip(self.gens, vec):
-            if x:
-                out = self.mulmod(out, self.powmod(g, x))
-        return out
 
     def kernel_codes(self, S: Poly):
         """Units congruent to 1 mod S, for monic S | R."""
@@ -413,9 +286,16 @@ class UnitGroup:
         return total % L
 
 
-@lru_cache(maxsize=256)
 def unit_group(R: Poly, budget: int = None) -> UnitGroup:
-    return UnitGroup(R, budget)
+    """The UnitGroup of R, built once per modulus; the budget is checked on
+    every call, before the cache is consulted."""
+    return _cached_unit_group(R, _checked_phi(R, budget))
+
+
+@lru_cache(maxsize=256)
+def _cached_unit_group(R: Poly, phi_r: int) -> UnitGroup:
+    # phi_r is a function of R, so the cache is keyed on R alone
+    return UnitGroup(R, budget=phi_r)
 
 
 class DirichletChar:
@@ -533,18 +413,6 @@ def characters(R: Poly, budget: int = None):
     """All phi(R) characters mod R, kvec-lex order; index 0 is the trivial one."""
     g = unit_group(R, budget)
     return [DirichletChar(g, kvec) for kvec in itertools.product(*(range(d) for d in g.dims))]
-
-
-def is_even(chi: DirichletChar) -> bool:
-    return chi.is_even()
-
-
-def is_primitive(chi: DirichletChar) -> bool:
-    return chi.is_primitive()
-
-
-def conductor(chi: DirichletChar) -> Poly:
-    return chi.conductor()
 
 
 def primitive_pair_sum(A: Poly, B: Poly, R: Poly) -> int:

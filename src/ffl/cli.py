@@ -31,7 +31,6 @@ class RunConfig:
     q: int
     fmt: str = "csv"
     max_table: int = None
-    workers: int = 1
 
 
 def _parse_q(text: str) -> int:
@@ -288,9 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="field order, as a plain prime power or p^e")
     ap.add_argument("--json", action="store_true", help="emit one JSON document")
     ap.add_argument("--max-table", type=int, default=None,
-                    help="override FFL_MAX_TABLE sieve budget (entries)")
-    ap.add_argument("--workers", type=int, default=None,
-                    help="worker count (results are worker-count independent)")
+                    help="override the FFL_MAX_TABLE table budget (entries)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("primes", help="monic irreducibles of one degree")
@@ -374,11 +371,6 @@ def main(argv=None) -> int:
         if args.max_table is not None:
             os.environ["FFL_MAX_TABLE"] = str(args.max_table)
             cfg.max_table = args.max_table
-        workers = args.workers if args.workers is not None else \
-            int(os.environ.get("FFL_WORKERS", "1"))
-        if workers < 1:
-            raise PreconditionError("worker count must be >= 1")
-        cfg.workers = workers
         field_of_order(q)
         rows, fieldnames = args.handler(args, cfg)
     except (PreconditionError, ValueError) as exc:

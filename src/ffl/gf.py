@@ -283,23 +283,3 @@ def field_of_order(q: int) -> FieldSpec:
                 raise PreconditionError(f"q = {q} is not a prime power")
             return field_make(p, e)
     raise PreconditionError(f"q = {q} is not a prime power")
-
-
-def gf_add(field: FieldSpec, a: int, b: int) -> int:
-    return field.add(a, b)
-
-
-def gf_mul(field: FieldSpec, a: int, b: int) -> int:
-    return field.mul(a, b)
-
-
-def gf_neg(field: FieldSpec, a: int) -> int:
-    return field.neg(a)
-
-
-def gf_inv(field: FieldSpec, a: int) -> int:
-    return field.inv(a)
-
-
-def gf_pow(field: FieldSpec, a: int, k: int) -> int:
-    return field.pow(a, k)

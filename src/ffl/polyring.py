@@ -1,4 +1,4 @@
-"""The ring F_q[T]: arithmetic, enumeration, irreducibility, factorization, SPF sieve.
+"""The ring F_q[T]: arithmetic, enumeration, irreducibility, factorization.
 
 Canonical ordering everywhere: ascending (degree, integer code), where the
 code of a polynomial is sum(c_i * q^i).  Within one degree this compares
@@ -10,9 +10,7 @@ import os
 import random
 from functools import lru_cache
 
-import numpy as np
-
-from .errors import BudgetError, PreconditionError
+from .errors import PreconditionError
 from .gf import FieldSpec
 
 DEFAULT_MAX_TABLE = 1 << 24
@@ -455,7 +453,7 @@ class Factorization:
 
 
 def _deterministic_rng(a: Poly) -> random.Random:
-    return random.Random((a.field.q, a.code, 0x5eed))
+    return random.Random(f"{a.field.q}:{a.code}:5eed")
 
 
 def _pth_root(a: Poly) -> Poly:
@@ -572,85 +570,6 @@ def factor(a: Poly) -> Factorization:
             e += 1
         factors.append((p, e))
     return Factorization(F, unit, factors)
-
-
-# -- smallest-prime-factor sieve --------------------------------------------
-
-class SPFTable:
-    """spf[code] for every monic polynomial with 1 <= deg <= maxdeg."""
-
-    __slots__ = ("field", "maxdeg", "table")
-
-    def __init__(self, field: FieldSpec, maxdeg: int, table):
-        self.field = field
-        self.maxdeg = maxdeg
-        self.table = table
-
-    def spf_code(self, code: int) -> int:
-        v = int(self.table[code])
-        if v == 0:
-            raise PreconditionError("polynomial outside sieve range")
-        return v
-
-    def spf(self, a: Poly) -> Poly:
-        if not a.is_monic() or a.deg < 1:
-            raise PreconditionError("sieve lookups need a monic polynomial of degree >= 1")
-        return from_code(self.field, self.spf_code(a.code))
-
-    def factor_code(self, code: int):
-        """[(prime_code, exponent)] for a monic code, via repeated spf division."""
-        out = []
-        field = self.field
-        poly_rem = from_code(field, code)
-        while poly_rem.deg >= 1:
-            pcode = self.spf_code(poly_rem.code)
-            p = from_code(field, pcode)
-            e = 0
-            while True:
-                qt, r = divmod(poly_rem, p)
-                if not r.is_zero():
-                    break
-                poly_rem = qt
-                e += 1
-            out.append((pcode, e))
-        return out
-
-
-@lru_cache(maxsize=8)
-def spf_sieve(field: FieldSpec, maxdeg: int, budget: int = None) -> SPFTable:
-    """Linear sieve filling smallest-prime-factor codes for all monic polys, deg <= maxdeg."""
-    q = field.q
-    size = q ** (maxdeg + 1)
-    limit = budget if budget is not None else max_table_entries()
-    if size > limit:
-        raise BudgetError(f"sieve table of {size} entries exceeds budget {limit}")
-    table = np.zeros(size, dtype=np.int64)
-    primes = []   # codes in canonical order; for monic codes that is plain integer order
-    pdegs = []
-    mul = code_mul_fn(field)
-    for d in range(1, maxdeg + 1):
-        lo, hi = q ** d, 2 * (q ** d)
-        for ncode in range(lo, hi):
-            spf_n = int(table[ncode])
-            if spf_n == 0:
-                spf_n = ncode
-                table[ncode] = ncode
-                primes.append(ncode)
-                pdegs.append(d)
-            # mark ncode * P once for each prime P <= spf(ncode); linear sieve
-            for pcode, pdeg in zip(primes, pdegs):
-                if pcode > spf_n or d + pdeg > maxdeg:
-                    break
-                table[mul(ncode, pcode)] = pcode
-    return SPFTable(field, maxdeg, table)
-
-
-def _code_deg(q: int, code: int) -> int:
-    d = -1
-    while code:
-        code //= q
-        d += 1
-    return d
 
 
 def code_mul_fn(field: FieldSpec):

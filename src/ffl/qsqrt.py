@@ -121,22 +121,6 @@ def qs_from_halfpower(q: int, k: int) -> QSqrt:
     return QSqrt(q, 0, Fraction(q) ** m)
 
 
-def qs_add(x: QSqrt, y: QSqrt) -> QSqrt:
-    return x + y
-
-
-def qs_mul(x: QSqrt, y: QSqrt) -> QSqrt:
-    return x * y
-
-
-def qs_inv(x: QSqrt) -> QSqrt:
-    return x.inv()
-
-
-def qs_to_float(x: QSqrt) -> float:
-    return x.to_float()
-
-
 def parse_qsqrt(text: str) -> QSqrt:
     """Inverse of QSqrt.serialize."""
     left, _, right = text.partition("+")

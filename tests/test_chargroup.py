@@ -1,13 +1,16 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ffl.chargroup import (UnitGroup, characters, even_mask, primitive_mask,
                            primitive_pair_sum, unit_group)
 from ffl.errors import BudgetError
-from ffl.gf import field_make
+from ffl.gf import field_make, field_of_order
 from ffl.multfun import phi, phi_star
-from ffl.polyring import (enumerate_monic, from_code, one, parse_poly, t_gen,
-                          to_pretty, zero)
+from ffl.polyring import (enumerate_monic, from_code, one, parse_poly, powmod,
+                          t_gen, to_pretty, zero)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -30,9 +33,35 @@ def test_unit_group_examples():
     assert g1.phi == 1 and g1.dims == ()
 
 
+def mulmod(R, u, v):
+    """Product of two residue codes mod R, by Poly arithmetic."""
+    F = R.field
+    return ((from_code(F, u) * from_code(F, v)) % R).code
+
+
+def invmod(R, u):
+    return powmod(from_code(R.field, u), phi(R) - 1, R).code
+
+
 def test_unit_group_budget():
     with pytest.raises(BudgetError):
         UnitGroup(P2("T^8"), budget=10)
+
+
+def test_unit_group_built_once_and_budget_checked(monkeypatch):
+    R = P2("T^6+T")
+    assert unit_group(R) is unit_group(R, None) is unit_group(R, budget=phi(R))
+    with pytest.raises(BudgetError):      # cached, and still refused
+        unit_group(R, budget=10)
+    # extension fields multiply through q x q tables, counted against FFL_MAX_TABLE
+    R4 = parse_poly(F4, "[0,0,1]")
+    assert unit_group(R4).phi == 12
+    monkeypatch.setenv("FFL_MAX_TABLE", "15")
+    with pytest.raises(BudgetError):
+        unit_group(R4)
+    with pytest.raises(BudgetError):
+        UnitGroup(R4)
+    assert unit_group(R) is unit_group(R, None)      # prime fields need no tables
 
 
 def test_dlog_additivity_exhaustive():
@@ -50,7 +79,7 @@ def test_dlog_additivity_exhaustive():
         for u in g.unit_codes:
             for v in g.unit_codes:
                 du, dv = g.dlog[u], g.dlog[v]
-                dp = g.dlog[g.mulmod(u, v)]
+                dp = g.dlog[mulmod(R, u, v)]
                 assert all((x + y) % d == z
                            for x, y, z, d in zip(du, dv, dp, g.dims))
 
@@ -72,11 +101,11 @@ def test_multiplicativity_and_conj():
         for chi in characters(R):
             for u in g.unit_codes:
                 for v in g.unit_codes:
-                    lhs = chi.value_code(g.mulmod(u, v))
+                    lhs = chi.value_code(mulmod(R, u, v))
                     rhs = chi.value_code(u) * chi.value_code(v)
                     assert abs(lhs - rhs) < 1e-12
                 # chi(A^{-1}) = conj chi(A)
-                inv = g.invmod(u)
+                inv = invmod(R, u)
                 assert abs(chi.value_code(inv) - chi.value_code(u).conjugate()) < 1e-12
 
 
@@ -170,7 +199,7 @@ def test_orthogonality_small():
         orth_e = Me.T @ Me.conj()
         for i, u in enumerate(g.unit_codes):
             for j, v in enumerate(g.unit_codes):
-                w = g.mulmod(u, g.invmod(v))
+                w = mulmod(R, u, invmod(R, v))
                 is_const = w < q
                 expected = g.phi / (q - 1) if is_const else 0
                 assert abs(orth_e[i, j] - expected) <= 1e-8 * g.phi
@@ -196,18 +225,26 @@ def test_kvec_stability():
 
 
 def test_dlog_additivity_large_group_exhaustive():
-    # ~10^3-unit group, all pairs, via the digit-matrix bulk engine
-    import numpy as np
+    # ~10^3-unit group.  dlog is a bijection onto the exponent grid with
+    # dlog(1) = 0, so dlog(u g_j) = dlog(u) + e_j for every unit u and every
+    # generator g_j is equivalent to additivity over all pairs.
     R = parse_poly(F2, "[" + "0," * 11 + "1]")     # T^11
     g = UnitGroup(R)
     assert g.phi == 1024
-    codes = np.array(g.unit_codes, dtype=np.int64)
-    vecs = np.array([g.dlog[int(c)] for c in codes], dtype=np.int64)
-    dims = np.array(g.dims, dtype=np.int64)
-    mm = g.mulmod
-    for i, u in enumerate(g.unit_codes):
-        prod_codes = np.array([mm(u, int(v)) for v in codes], dtype=np.int64)
-        order = np.argsort(codes)
-        pos = order[np.searchsorted(codes[order], prod_codes)]
-        expected = (vecs[i][None, :] + vecs) % dims
-        assert np.array_equal(vecs[pos], expected)
+    assert sorted(g.dlog) == list(g.unit_codes)
+    assert len(set(g.dlog.values())) == g.phi
+    assert g.dlog[g.identity] == (0,) * len(g.dims)
+    for j, gj in enumerate(g.gens):
+        for u in g.unit_codes:
+            expected = list(g.dlog[u])
+            expected[j] = (expected[j] + 1) % g.dims[j]
+            assert g.dlog[mulmod(R, u, gj)] == tuple(expected)
+
+
+def test_unit_group_golden():
+    # the frozen greedy basis: (gens, orders) per modulus, see data/make_unit_group_golden.py
+    golden = json.loads((Path(__file__).parent / "data" / "unit_group_golden.json").read_text())
+    assert len(golden) == 1413
+    for q, code, gens, orders in golden:
+        g = UnitGroup(from_code(field_of_order(q), code))
+        assert (list(g.gens), list(g.orders)) == (gens, orders), (q, code)

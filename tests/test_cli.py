@@ -47,15 +47,6 @@ def test_byte_identical_reruns(capsys):
         rc2, out2 = run(capsys, *argv)
         assert rc1 == rc2 == 0
         assert out1 == out2
-    # worker-count independence of output bytes
-    import os
-    os.environ["FFL_WORKERS"] = "4"
-    try:
-        _, out_w = run(capsys, "--q", "2", "primes", "--deg", "4")
-    finally:
-        del os.environ["FFL_WORKERS"]
-    _, out_1 = run(capsys, "--q", "2", "primes", "--deg", "4")
-    assert out_w == out_1
 
 
 def test_exit_codes(capsys):

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
+from ffl.cli import main
 from ffl.errors import PreconditionError
 from ffl.gf import field_make
 from ffl.polyring import (Poly, count_primes_exact, enumerate_monic,
-                          enumerate_primes, factor, is_irreducible, monomial,
-                          one, parse_poly, poly_gcd, spf_sieve, t_gen,
-                          to_pretty, to_text, zero)
+                          enumerate_primes, factor, from_code, is_irreducible,
+                          monomial, one, parse_poly, poly_gcd, t_gen, to_pretty,
+                          to_text, zero)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -130,24 +131,35 @@ def test_large_degree_factor():
     assert all(is_irreducible(p) for p, _ in f)
 
 
-def test_spf_examples_and_agreement():
-    s = spf_sieve(F2, 6)
-    assert s.spf(P2("T^2+T")) == t_gen(F2)
-    assert s.spf(P2("T^2")) == t_gen(F2)
-    assert s.spf(P2("T^2+T+1")) == P2("T^2+T+1")
-    for d in range(1, 7):
-        for m in enumerate_monic(F2, d):
-            assert s.factor_code(m.code) == [(p.code, e) for p, e in factor(m)]
-    s3 = spf_sieve(F3, 4)
-    for d in range(1, 5):
-        for m in enumerate_monic(F3, d):
-            assert s3.factor_code(m.code) == [(p.code, e) for p, e in factor(m)]
+def _irreducibles_from(F, code, count):
+    out = []
+    while len(out) < count:
+        a = from_code(F, code)
+        if is_irreducible(a):
+            out.append(a)
+        code += 1
+    return out
 
 
-def test_spf_budget():
-    from ffl.errors import BudgetError
-    with pytest.raises(BudgetError):
-        spf_sieve(F2, 30, budget=1 << 10)
+def test_factor_equal_degree_split(capsys):
+    # products of same-degree primes above degree 12 take the randomised
+    # equal-degree split
+    a = P2("T^16+T^15+T^13+T^12+T^10+T^7+T^4+T+1")
+    f = factor(a)
+    assert f.value() == a and len(f) > 1
+    assert all(p.is_monic() and is_irreducible(p) for p, _ in f)
+    F7 = field_make(7)
+    p1, p2 = _irreducibles_from(F7, 7 ** 13 + 12345, 2)
+    lin = parse_poly(F7, "T+3")
+    b = p1 * p2 * lin ** 2
+    assert b.deg == 28
+    fb = factor(b)
+    assert fb.value() == b
+    assert fb.factors == tuple(sorted([(p1, 1), (p2, 1), (lin, 2)],
+                                      key=lambda pe: pe[0].sort_key()))
+    assert main(["--q", "2", "factor", "--poly", to_pretty(a)]) == 0
+    assert main(["--q", "7", "factor", "--poly", to_text(b)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_text_roundtrip():
