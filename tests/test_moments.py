@@ -1,18 +1,20 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ffl.errors import PreconditionError
-from ffl.gf import field_make
+from ffl.gf import field_make, field_of_order
 from ffl.moments import (diagonal_param_sum, diagonal_quadruple_sum,
                          diagonal_term_check, moment2_chars, moment2_formula,
                          moment2_moebius_exact, moment2_tamam_orthogonality,
                          moment2_tamam_prime, moment4_chars, moment4_main_term,
                          moment4_moebius_exact, moment4_report, z_cut, z_cut_int)
 from ffl.multfun import is_squarefull, phi
-from ffl.polyring import (enumerate_monic, enumerate_primes, monomial, one,
-                          parse_poly, t_gen)
+from ffl.polyring import (enumerate_monic, enumerate_primes, from_code,
+                          monomial, one, parse_poly, t_gen)
 from ffl.qsqrt import QSqrt
 
 F2 = field_make(2)
@@ -216,3 +218,13 @@ def test_prime_modulus_consistency():
         ch = moment2_chars(Q)
         avg = moment2_tamam_prime(Q).to_float()
         assert abs(ch - phi(Q) * avg) <= 1e-9 * max(1.0, abs(ch))
+
+
+def test_moebius_exact_golden():
+    # frozen exact moments of 1009 moduli, see data/make_moment_golden.py
+    golden = json.loads((Path(__file__).parent / "data" / "moment_golden.json").read_text())
+    assert len(golden) == 1009
+    for q, code, m2, m4 in golden:
+        R = from_code(field_of_order(q), code)
+        assert moment2_moebius_exact(R).serialize() == m2, (q, code)
+        assert moment4_moebius_exact(R).serialize() == m4, (q, code)
