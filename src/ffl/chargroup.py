@@ -9,14 +9,14 @@ every character evaluation here relies on.
 """
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd as igcd, lcm as ilcm, tau as TWO_PI
 
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
 from .multfun import divisors, mu, phi
-from .polyring import Poly, from_code, max_table_entries, poly_gcd, t_gen
+from .polyring import Poly, max_table_entries, monomial, poly_gcd
 
 DEFAULT_GROUP_BUDGET = 10 ** 6
 
@@ -34,6 +34,16 @@ def _prime_factorization_int(n: int):
     return out
 
 
+def _reduction_rows(M: Poly, top: int):
+    """Row j holds the coefficients of T^(deg M + j) mod M, for deg M + j < top."""
+    rows = np.zeros((max(top - M.deg, 0), M.deg), dtype=np.int64)
+    powk = monomial(M.field, M.deg) % M
+    for row in rows:
+        row[:powk.deg + 1] = powk.coeffs
+        powk = powk.shift(1) % M
+    return rows
+
+
 class _Residues:
     """Batched arithmetic on residues mod R, deg R >= 1.
 
@@ -48,14 +58,8 @@ class _Residues:
         F = R.field
         q, rdeg = F.q, R.deg
         self.q, self.rdeg, self.p = q, rdeg, F.p
+        self.modulus = R
         self.qpow = np.array([q ** i for i in range(rdeg)], dtype=np.int64)
-        # reduction rows: T^k mod R for k = rdeg .. 2 rdeg - 2
-        self.red_rows = {}
-        powk = (t_gen(F) ** rdeg) % R
-        for k in range(rdeg, 2 * rdeg - 1):
-            self.red_rows[k] = np.array([powk.coeffs[i] if i <= powk.deg else 0
-                                         for i in range(rdeg)], dtype=np.int64)
-            powk = powk.shift(1) % R
         self.mul_table = self.add_table = None
         if F.e == 1:
             return
@@ -71,6 +75,10 @@ class _Residues:
                 self.add_table += ((x[:, None] // w) % p + (x[None, :] // w) % p) % p * w
                 w *= p
 
+    @cached_property
+    def red_rows(self):
+        return _reduction_rows(self.modulus, 2 * self.rdeg - 1)
+
     def digits(self, codes):
         out = np.empty((len(codes), self.rdeg), dtype=np.int64)
         c = np.asarray(codes, dtype=np.int64)
@@ -80,7 +88,7 @@ class _Residues:
         return out
 
     def codes(self, A):
-        return A @ self.qpow
+        return A @ self.qpow[:A.shape[1]]
 
     def _acc(self, dst, x):
         """dst += x in place, coefficientwise in an extension field."""
@@ -89,22 +97,31 @@ class _Residues:
         else:
             dst[...] = self.add_table[dst, x]
 
+    def fold(self, C, rows):
+        """Reduce a batch of reduced coefficient rows mod a monic M of degree
+        m = rows.shape[1], where rows[j] holds T^(m + j) mod M: every column
+        k >= m is folded into the low m columns.  Returns a new (n, m) batch."""
+        m, p, mt = rows.shape[1], self.p, self.mul_table
+        low = C[:, :m].copy()
+        for j in range(len(rows) - 1, -1, -1):
+            if mt is None:
+                low += C[:, m + j][:, None] * rows[j][None, :]
+            else:
+                self._acc(low, mt[C[:, m + j][:, None], rows[j][None, :]])
+        return low % p if mt is None else low
+
     def mul(self, A, B):
         """Row-wise product of two batches; B may also be a single row."""
-        rdeg, p, mt = self.rdeg, self.p, self.mul_table
+        rdeg, mt = self.rdeg, self.mul_table
         C = np.zeros((A.shape[0], 2 * rdeg - 1), dtype=np.int64)
         if mt is None:
             for i in range(rdeg):
                 C[:, i:i + rdeg] += A[:, i][:, None] * B
-            C %= p
-            for k in range(2 * rdeg - 2, rdeg - 1, -1):
-                C[:, :rdeg] += C[:, k][:, None] * self.red_rows[k][None, :]
-            return C[:, :rdeg] % p
-        for i in range(rdeg):
-            self._acc(C[:, i:i + rdeg], mt[A[:, i][:, None], B])
-        for k in range(2 * rdeg - 2, rdeg - 1, -1):
-            self._acc(C[:, :rdeg], mt[C[:, k][:, None], self.red_rows[k][None, :]])
-        return C[:, :rdeg].copy()
+            C %= self.p
+        else:
+            for i in range(rdeg):
+                self._acc(C[:, i:i + rdeg], mt[A[:, i][:, None], B])
+        return self.fold(C, self.red_rows)
 
     def pow(self, A, e):
         result = np.zeros_like(A)
@@ -249,6 +266,12 @@ class UnitGroup:
         r = (a % self.modulus).code
         return self.dlog.get(r)
 
+    def residue_codes(self, S: Poly):
+        """Codes of the units reduced mod S, for monic S | R, in unit_codes order."""
+        res = _Residues(self.modulus)
+        return res.codes(res.fold(res.digits(self.unit_codes),
+                                  _reduction_rows(S, self.modulus.deg)))
+
     def kernel_codes(self, S: Poly):
         """Units congruent to 1 mod S, for monic S | R."""
         key = S.code
@@ -258,8 +281,8 @@ class UnitGroup:
         if S.deg == 0:
             out = tuple(self.unit_codes)
         else:
-            out = tuple(u for u in self.unit_codes
-                        if (from_code(self.field, u) % S).is_one())
+            units = np.array(self.unit_codes, dtype=np.int64)
+            out = tuple(units[self.residue_codes(S) == 1].tolist())
         self._kernel_cache[key] = out
         return out
 
@@ -287,12 +310,12 @@ class UnitGroup:
 
 
 def unit_group(R: Poly, budget: int = None) -> UnitGroup:
-    """The UnitGroup of R, built once per modulus; the budget is checked on
-    every call, before the cache is consulted."""
+    """The UnitGroup of R, kept for the 64 most recent moduli; the budget is
+    checked on every call, before the cache is consulted."""
     return _cached_unit_group(R, _checked_phi(R, budget))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=64)   # a group holds about 190 bytes per unit
 def _cached_unit_group(R: Poly, phi_r: int) -> UnitGroup:
     # phi_r is a function of R, so the cache is keyed on R alone
     return UnitGroup(R, budget=phi_r)
@@ -304,9 +327,10 @@ class DirichletChar:
     __slots__ = ("group", "kvec")
 
     def __init__(self, group: UnitGroup, kvec):
-        kvec = tuple(int(k) % d for k, d in zip(kvec, group.dims))
+        kvec = tuple(kvec)
         if len(kvec) != len(group.dims):
             raise PreconditionError("character exponent vector has wrong length")
+        kvec = tuple(int(k) % d for k, d in zip(kvec, group.dims))
         self.group = group
         self.kvec = kvec
 
@@ -439,6 +463,17 @@ def primitive_pair_sum(A: Poly, B: Poly, R: Poly) -> int:
 
 
 # -- bulk grids for the FFT-based moment and L-value paths -------------------
+
+def group_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """C[u] = sum_x a[x] b[(u - x) mod dims] on the group of the grids' shape
+    (a product of cyclic axes), exact in int64.  It loops over the nonzero
+    entries of a only, so the sparser grid should come first."""
+    out = np.zeros(b.shape, dtype=np.result_type(a, b))
+    axes = tuple(range(b.ndim))
+    for x in zip(*np.nonzero(a)):
+        out += a[x] * np.roll(b, x, axis=axes)
+    return out
+
 
 def primitive_mask(group: UnitGroup):
     """Boolean grid over kvec of which characters are primitive."""

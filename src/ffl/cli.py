@@ -30,7 +30,6 @@ from .qsqrt import QSqrt
 class RunConfig:
     q: int
     fmt: str = "csv"
-    max_table: int = None
 
 
 def _parse_q(text: str) -> int:
@@ -121,7 +120,10 @@ def cmd_chars(args, cfg):
 
 def _char_rows(R, cfg, kvec_filter=None):
     rows = []
-    for chi in characters(R):
+    chars = characters(R)
+    if kvec_filter is not None and len(kvec_filter) != len(chars[0].kvec):
+        raise PreconditionError(f"--kvec needs {len(chars[0].kvec)} colon-separated entries")
+    for chi in chars:
         if kvec_filter is not None and chi.kvec != kvec_filter:
             continue
         parity = "even" if chi.is_even() else "odd"
@@ -227,23 +229,29 @@ def cmd_moment4(args, cfg):
 def cmd_probe(args, cfg):
     F = _field(cfg)
     pid = args.id
-    P = lambda text: parse_poly(F, text)
+
+    def P(flag):
+        text = getattr(args, flag)
+        if text is None:
+            raise PreconditionError(f"probe {pid} needs --{flag}")
+        return parse_poly(F, text)
+
     if pid == "bt_sum":
-        rep = sp.bt_sum(P(args.X), args.y, P(args.A), P(args.G))
+        rep = sp.bt_sum(P("X"), args.y, P("A"), P("G"))
     elif pid == "bt_sum_eq":
-        rep = sp.bt_sum_eq(P(args.X), args.y, P(args.A), P(args.G), args.a)
+        rep = sp.bt_sum_eq(P("X"), args.y, P("A"), P("G"), args.a)
     elif pid == "selberg":
-        rep = sp.selberg_sifted_count(P(args.X), args.y, P(args.K), P(args.A), args.z)
+        rep = sp.selberg_sifted_count(P("X"), args.y, P("K"), P("A"), args.z)
     elif pid == "two_omega":
         val = sp.two_omega_sum(cfg.q, args.x)
         rep = sp.ProbeReport("two_omega_sum", {"q": cfg.q, "x": args.x}, val,
                              float(sp.two_omega_closed_form(cfg.q, args.x)), 1.0, None)
     elif pid == "two_omega_coprime":
-        rep = sp.two_omega_sum_coprime(P(args.mod))
+        rep = sp.two_omega_sum_coprime(P("mod"))
     elif pid == "weighted_two_omega":
-        rep = sp.weighted_two_omega_sum(P(args.mod))
+        rep = sp.weighted_two_omega_sum(P("mod"))
     elif pid == "coprime_harmonic":
-        rep = sp.coprime_harmonic(P(args.mod), args.x)
+        rep = sp.coprime_harmonic(P("mod"), args.x)
     elif pid == "inv_phi":
         val = sp.inv_phi_sum(cfg.q, args.x)
         rep = sp.ProbeReport("inv_phi_sum", {"q": cfg.q, "x": args.x}, val,
@@ -261,9 +269,9 @@ def cmd_probe(args, cfg):
     elif pid == "rough_divisor":
         rep = sp.rough_divisor_sum(cfg.q, args.z, args.r)
     elif pid == "off_diagonal":
-        rep = sp.off_diagonal_count(P(args.F), args.z1, args.z2, args.a)
+        rep = sp.off_diagonal_count(P("F"), args.z1, args.z2, args.a)
     elif pid == "double_divisor":
-        rep = sp.double_divisor_probe(P(args.F), P(args.K), args.x, args.a,
+        rep = sp.double_divisor_probe(P("F"), P("K"), args.x, args.a,
                                       args.variant)
     else:
         raise PreconditionError(f"unknown probe id {pid!r}")
@@ -370,7 +378,6 @@ def main(argv=None) -> int:
         cfg = RunConfig(q=q, fmt="json" if args.json else "csv")
         if args.max_table is not None:
             os.environ["FFL_MAX_TABLE"] = str(args.max_table)
-            cfg.max_table = args.max_table
         field_of_order(q)
         rows, fieldnames = args.handler(args, cfg)
     except (PreconditionError, ValueError) as exc:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chargroup import UnitGroup, primitive_mask, unit_group
+from .chargroup import UnitGroup, group_convolve, primitive_mask, unit_group
 from .errors import BudgetError, PreconditionError
 from .lfunc import l_half_table, zeta_a
 from .multfun import divisors, is_squarefull, mu, omega, phi, phi_star
@@ -29,94 +29,69 @@ class MomentReport:
 
 # -- shared helpers -----------------------------------------------------------
 
-def _pair_sum_weights(R: Poly):
-    """t(w) = sum_{EF=R, F | (w-1)} mu(E) phi(F) for every unit w, plus the grid."""
-    g = unit_group(R)
-    F = R.field
-    pairs = []
-    for D in divisors(R):
-        m = mu(R // D)
-        if m:
-            pairs.append((D, m * phi(D)))
-    one_poly = from_code(F, g.identity)
-    t = {}
-    for w in g.unit_codes:
-        diff = from_code(F, w) - one_poly
-        total = 0
-        for D, weight in pairs:
-            if diff.is_zero() or (diff % D).is_zero():
-                total += weight
-        t[w] = total
-    return g, t
-
-
-def _grid_scatter(g: UnitGroup, values: dict):
-    out = np.zeros(g.dims or (1,), dtype=np.int64)
-    flat = out.reshape(-1)
-    for code, v in values.items():
-        flat[g.flat_index(code) if g.dims else 0] = v
-    return out
-
-
-def _reverse_grid(a: np.ndarray):
-    """a[-x mod dims] along every axis."""
-    out = a
-    for axis in range(a.ndim):
-        out = np.roll(np.flip(out, axis=axis), 1, axis=axis)
-    return out
-
-
-def _correlate(a: np.ndarray, b: np.ndarray):
-    """C[y] = sum_x a[(x+y) mod dims] b[x], exact integer arithmetic."""
-    out = np.zeros_like(a)
-    it = np.ndindex(*a.shape) if a.shape else iter([()])
-    for y in it:
-        shifted = a
-        for axis, off in enumerate(y):
-            if off:
-                shifted = np.roll(shifted, -off, axis=axis)
-        out[y] = np.sum(shifted * b)
-    return out
-
-
-def _convolve(a: np.ndarray, b: np.ndarray):
-    """C[u] = sum_x a[x] b[(u-x) mod dims], exact integer arithmetic."""
-    return _correlate(_reverse_grid(a), b)
-
-
 def _s_grids(g: UnitGroup, scale_pow: int):
     """Integer grids of q^{scale_pow - d/2} over monic unit residues of degree d,
     split by parity of d.  Returns (Se, So) with S = (Se + So*sqrt(q)) / q^{scale_pow}.
     """
     q = g.field.q
-    se, so = {}, {}
-    for code in g.unit_codes:
-        d = _deg_of_code(q, code)
-        if code // (q ** d) != 1:
-            continue   # non-monic residue: not a summand
-        if d % 2 == 0:
-            se[code] = q ** (scale_pow - d // 2)
-        else:
-            so[code] = q ** (scale_pow - (d + 1) // 2)
-    return _grid_scatter(g, se), _grid_scatter(g, so)
+    se = np.zeros(g.dims or (1,), dtype=np.int64)
+    so = np.zeros_like(se)
+    for d in range(g.modulus.deg):
+        grid, value = (so if d % 2 else se), q ** (scale_pow - (d + 1) // 2)
+        for code in range(q ** d, 2 * q ** d):
+            if code in g.dlog:
+                grid.flat[g.flat_index(code) if g.dims else 0] = value
+    return se, so
 
 
-def _deg_of_code(q: int, code: int) -> int:
-    d = -1
-    while code:
-        code //= q
-        d += 1
-    return d
-
-
-def _contract(t_grid, rational_grid, sqrt_grid):
-    """sum t * (rational + sqrt(q) * sqrt_part) with Python-int accumulation."""
-    t_flat = t_grid.reshape(-1).tolist()
-    r_flat = rational_grid.reshape(-1).tolist()
-    s_flat = sqrt_grid.reshape(-1).tolist()
-    a = sum(t * r for t, r in zip(t_flat, r_flat))
-    b = sum(t * s for t, s in zip(t_flat, s_flat))
+def _divisor_bucket_sum(g: UnitGroup, xe, xo):
+    """(a, b) with a + b sqrt(q) = sum_{F | R} mu(R/F) phi(F) sum_{r mod F} X_F(r)^2,
+    X = xe + xo sqrt(q) on the unit grid and X_F(r) its sum over the units = r
+    mod F: the sum of X(x) X(y) weighted by the primitive pair sum of (x, y)."""
+    R, q = g.modulus, g.field.q
+    pos = [g.flat_index(code) for code in g.unit_codes] if g.dims else [0]
+    e_units = xe.reshape(-1)[pos]
+    o_units = xo.reshape(-1)[pos]
+    a = b = 0
+    for F in divisors(R):
+        m = mu(R // F)
+        if not m:
+            continue
+        codes = g.residue_codes(F)
+        e = np.zeros(q ** F.deg, dtype=np.int64)
+        o = np.zeros_like(e)
+        np.add.at(e, codes, e_units)
+        np.add.at(o, codes, o_units)
+        e, o = e.tolist(), o.tolist()
+        weight = m * phi(F)
+        a += weight * (sum(x * x for x in e) + q * sum(y * y for y in o))
+        b += weight * 2 * sum(x * y for x, y in zip(e, o))
     return a, b
+
+
+def _moebius_exact(R: Poly, power: int) -> QSqrt:
+    """Moment `power` (2 or 4): the divisor-bucket sum of S, or of W = S*S."""
+    q = R.field.q
+    if R.deg == 0:
+        raise PreconditionError("modulus 1 has no finite-sum representation")
+    g = unit_group(R)
+    scale = max(R.deg - 1, 0)
+    xe, xo = _s_grids(g, scale)
+    if power == 4:
+        _check_convolution_bound(q, xe, xo)
+        xe, xo = (group_convolve(xe, xe) + q * group_convolve(xo, xo),
+                  2 * group_convolve(xe, xo))
+    a_int, b_int = _divisor_bucket_sum(g, xe, xo)
+    den = q ** (power * scale)
+    return QSqrt(q, Fraction(a_int, den), Fraction(b_int, den))
+
+
+def _check_convolution_bound(q: int, se, so):
+    """Refuse S*S beyond int64: each of its entries, and each bucket sum of it,
+    is at most (sum Se)^2 + q (sum So)^2."""
+    bound = sum(se.reshape(-1).tolist()) ** 2 + q * sum(so.reshape(-1).tolist()) ** 2
+    if bound >= 1 << 63:
+        raise BudgetError(f"exact fourth moment needs sums up to {bound}, beyond int64")
 
 
 def moment2_chars(R: Poly, budget: int = None) -> float:
@@ -134,20 +109,7 @@ def moment2_chars(R: Poly, budget: int = None) -> float:
 
 def moment2_moebius_exact(R: Poly) -> QSqrt:
     """Exact QSqrt via the Mobius-inverted pair sum over monic A, B of degree < deg R."""
-    q = R.field.q
-    if R.deg == 0:
-        raise PreconditionError("modulus 1 has no finite-sum representation")
-    g, t = _pair_sum_weights(R)
-    t_grid = _grid_scatter(g, t)
-    scale = max(R.deg - 1, 0)
-    se, so = _s_grids(g, scale)
-    corr_ee = _correlate(se, se)
-    corr_oo = _correlate(so, so)
-    corr_eo = _correlate(se, so)
-    corr_oe = _correlate(so, se)
-    a_int, b_int = _contract(t_grid, corr_ee + q * corr_oo, corr_eo + corr_oe)
-    den = q ** (2 * scale)
-    return QSqrt(q, Fraction(a_int, den), Fraction(b_int, den))
+    return _moebius_exact(R, 2)
 
 
 def moment2_formula_terms(R: Poly, variant: str = "proof_final"):
@@ -240,22 +202,7 @@ def moment4_chars(R: Poly, budget: int = None) -> float:
 
 def moment4_moebius_exact(R: Poly) -> QSqrt:
     """Exact QSqrt via Mobius-inverted quadruple sums (A, B, C, D of degree < deg R)."""
-    q = R.field.q
-    if R.deg == 0:
-        raise PreconditionError("modulus 1 has no finite-sum representation")
-    g, t = _pair_sum_weights(R)
-    t_grid = _grid_scatter(g, t)
-    scale = max(R.deg - 1, 0)
-    se, so = _s_grids(g, scale)
-    we = _convolve(se, se) + q * _convolve(so, so)
-    wo = 2 * _convolve(se, so)
-    corr_ee = _correlate(we, we)
-    corr_oo = _correlate(wo, wo)
-    corr_eo = _correlate(we, wo)
-    corr_oe = _correlate(wo, we)
-    a_int, b_int = _contract(t_grid, corr_ee + q * corr_oo, corr_eo + corr_oe)
-    den = q ** (4 * scale)
-    return QSqrt(q, Fraction(a_int, den), Fraction(b_int, den))
+    return _moebius_exact(R, 4)
 
 
 def moment4_main_term(R: Poly) -> float:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chargroup import unit_group
+from .chargroup import group_convolve, unit_group
 from .errors import BudgetError, PreconditionError
 from .multfun import divisor_count, divisors, mu, omega, p_minus, phi
 from .polyring import (Poly, enumerate_monic, factor, from_code, poly_gcd,
@@ -340,18 +340,19 @@ def off_diagonal_count(F: Poly, z1: int, z2: int, a: int = 1,
     if q ** (z1 + z2) > limit * 16:
         raise BudgetError("off-diagonal budget exceeded")
     g = unit_group(F)
-    from .moments import _correlate, _convolve
 
     def pair_counts(zsum):
         acc = np.zeros(g.dims or (1,), dtype=np.int64)
         per_deg = {d: _coprime_residue_counts(g, d) for d in range(zsum + 1)}
         for i in range(zsum + 1):
-            acc = acc + _correlate(per_deg[i], per_deg[zsum - i])
+            b = per_deg[zsum - i]
+            inverted = b[np.ix_(*[-np.arange(d) % d for d in b.shape])]
+            acc = acc + group_convolve(per_deg[i], inverted)
         return acc
 
     q1 = pair_counts(z1)
     q2 = pair_counts(z2)
-    conv = _convolve(q1, q2)
+    conv = group_convolve(q1, q2)
     if g.dims:
         a_vec = g.dlog[a] if F.deg > 0 else ()
         congruent = int(conv[a_vec])

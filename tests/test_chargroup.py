@@ -4,11 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ffl.chargroup import (UnitGroup, characters, even_mask, primitive_mask,
-                           primitive_pair_sum, unit_group)
-from ffl.errors import BudgetError
+from ffl.chargroup import (DirichletChar, UnitGroup, characters, even_mask,
+                           group_convolve, primitive_mask, primitive_pair_sum,
+                           unit_group)
+from ffl.errors import BudgetError, PreconditionError
 from ffl.gf import field_make, field_of_order
-from ffl.multfun import phi, phi_star
+from ffl.multfun import divisors, phi, phi_star
 from ffl.polyring import (enumerate_monic, from_code, one, parse_poly, powmod,
                           t_gen, to_pretty, zero)
 
@@ -248,3 +249,41 @@ def test_unit_group_golden():
     for q, code, gens, orders in golden:
         g = UnitGroup(from_code(field_of_order(q), code))
         assert (list(g.gens), list(g.orders)) == (gens, orders), (q, code)
+
+
+def test_group_convolve_matches_direct_sum():
+    rng = np.random.default_rng(5)
+    for shape in ((7,), (4, 6), (2, 3, 4)):
+        a = rng.integers(-5, 6, size=shape) * (rng.random(shape) < 0.6)
+        b = rng.integers(-5, 6, size=shape)
+        direct = np.zeros(shape, dtype=np.int64)
+        for u in np.ndindex(*shape):
+            for x in np.ndindex(*shape):
+                y = tuple((ui - xi) % d for ui, xi, d in zip(u, x, shape))
+                direct[u] += a[x] * b[y]
+        assert np.array_equal(group_convolve(a, b), direct), shape
+        impulse = np.zeros(shape, dtype=np.int64)
+        impulse[(0,) * len(shape)] = 1
+        assert np.array_equal(group_convolve(impulse, b), b)
+        assert np.array_equal(group_convolve(b, impulse), b)
+
+
+def test_residue_and_kernel_codes_match_poly_arithmetic():
+    for R in (P2("T^6+T^3"), parse_poly(F3, "T^4+T^2"), from_code(F4, 4 ** 3 + 2 * 4 + 3),
+              parse_poly(field_of_order(9), "q=9;[0,0,1]")):
+        g = unit_group(R)
+        units = [from_code(R.field, u) for u in g.unit_codes]
+        for S in divisors(R):
+            expected = [(u % S).code for u in units]
+            assert g.residue_codes(S).tolist() == expected, (R, S)
+            kernel = tuple(c for c, u in zip(g.unit_codes, units) if (u % S).is_one())
+            assert g.kernel_codes(S) == (kernel if S.deg else g.unit_codes)
+
+
+def test_character_kvec_length_checked_before_reduction():
+    g = unit_group(P2("T^3"))
+    assert g.dims == (4,)
+    assert DirichletChar(g, (5,)).kvec == (1,)
+    for bad in ((1, 1, 7, 9), (), (1, 0)):
+        with pytest.raises(PreconditionError):
+            DirichletChar(g, bad)

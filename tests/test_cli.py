@@ -125,3 +125,21 @@ def test_lvalue_modulus_one(capsys):
     # zeta_A(1/2) = 1/(1 - sqrt 2)
     import math
     assert f"{1/(1-math.sqrt(2)):.6f}"[:8] in line
+
+
+def test_probe_missing_polynomial_flag_exits_2(capsys):
+    for argv, flag in ((("--id", "bt_sum"), "--X"),
+                       (("--id", "off_diagonal", "--z1", "1"), "--F"),
+                       (("--id", "coprime_harmonic", "--x", "2"), "--mod"),
+                       (("--id", "double_divisor", "--x", "4"), "--F")):
+        rc = main(["--q", "2", "probe", *argv])
+        err = capsys.readouterr().err
+        assert rc == 2 and flag in err, argv
+
+
+def test_lvalue_kvec_wrong_length_exits_2(capsys):
+    for kvec in ("1:1:7", "1:0"):
+        rc, out = run(capsys, "--q", "2", "lvalue", "--mod", "T^3", "--kvec", kvec)
+        assert rc == 2 and out == ""
+    rc, out = run(capsys, "--q", "2", "lvalue", "--mod", "T^3", "--kvec", "3")
+    assert rc == 0 and len(out.splitlines()) == 2

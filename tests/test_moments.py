@@ -3,9 +3,10 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ffl.errors import PreconditionError
+from ffl.errors import BudgetError, PreconditionError
 from ffl.gf import field_make, field_of_order
 from ffl.moments import (diagonal_param_sum, diagonal_quadruple_sum,
                          diagonal_term_check, moment2_chars, moment2_formula,
@@ -228,3 +229,27 @@ def test_moebius_exact_golden():
         R = from_code(field_of_order(q), code)
         assert moment2_moebius_exact(R).serialize() == m2, (q, code)
         assert moment4_moebius_exact(R).serialize() == m4, (q, code)
+
+
+def test_moment4_moebius_exact_beyond_old_int64_range():
+    # T^2 (T^2+T+1)^2 (T^8+T^7+T^6+T^4+T^3+T^2+1), phi 6120: its old pairwise
+    # correlation sums passed 2^63 and wrapped to a negative value
+    R = P2("q=2;[0,0,1,0,0,1,1,1,1,0,1,1,0,1,1]")
+    assert phi(R) == 6120
+    ex = moment4_moebius_exact(R).to_float()
+    ch = moment4_chars(R)
+    assert abs(ex - ch) <= 1e-9 * abs(ch)
+
+
+def test_convolution_bound_guard():
+    from ffl.moments import _check_convolution_bound
+    # (sum Se)^2 + q (sum So)^2 against 2^63, with q = 2 and sum Se = 2^31:
+    # the bound fails once sum So >= 2^30.5 = 1518500249.98...
+    se = np.array([1 << 30, 0, 1 << 30], dtype=np.int64)
+    below = np.array([1518500000, 249, 0], dtype=np.int64)
+    _check_convolution_bound(2, se, below)
+    with pytest.raises(BudgetError):
+        _check_convolution_bound(2, se, below + np.array([0, 1, 0]))
+    with pytest.raises(BudgetError):
+        _check_convolution_bound(3, np.full((4, 4), 1 << 29, dtype=np.int64),
+                                 np.zeros((4, 4), dtype=np.int64))
