@@ -143,3 +143,40 @@ def test_lvalue_kvec_wrong_length_exits_2(capsys):
         assert rc == 2 and out == ""
     rc, out = run(capsys, "--q", "2", "lvalue", "--mod", "T^3", "--kvec", "3")
     assert rc == 0 and len(out.splitlines()) == 2
+
+
+CHAR_CLI_FLOATS = {"lvalue": {"re_l_half", "im_l_half", "abs2_l_half", "abs_w",
+                              "fe_residual"},
+                   "fe-check": {"re_w", "im_w", "abs_w", "fe_residual"},
+                   "chars": set()}
+
+
+def test_char_cli_golden(capsys):
+    # frozen stdout of chars / lvalue / fe-check for 369 moduli, written by
+    # per-character sums (see data/make_char_cli_golden.py): every non-float
+    # cell, the header and the row order byte for byte, floats to 1e-12
+    import csv
+    from pathlib import Path
+
+    from ffl.gf import field_of_order
+    from ffl.polyring import from_code, to_text
+    doc = json.loads((Path(__file__).parent / "data" / "char_cli_golden.json").read_text())
+    headers, entries = doc["headers"], doc["entries"]
+    assert len(entries) == 1107
+    for q, code, command, golden in entries:
+        text = to_text(from_code(field_of_order(q), code))
+        rc, out = run(capsys, "--q", str(q), command, "--mod", text)
+        assert rc == 0, (q, code, command)
+        header, *lines = out.splitlines()
+        assert header == headers[command]
+        assert len(lines) == len(golden), (q, code, command)
+        names = header.split(",")[2:]
+        floats = CHAR_CLI_FLOATS[command]
+        for line, want in zip(csv.reader(lines), csv.reader(golden)):
+            assert line[:2] == [str(q), text]
+            for name, got, exp in zip(names, line[2:], want, strict=True):
+                if name in floats and exp:
+                    g, e = float(got), float(exp)
+                    assert abs(g - e) <= 1e-12 * max(1.0, abs(e)), (q, code, command, name)
+                else:
+                    assert got == exp, (q, code, command, name)
