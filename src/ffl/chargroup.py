@@ -288,6 +288,19 @@ class UnitGroup:
 
     # -- grid helpers for bulk character work ------------------------------
 
+    @cached_property
+    def code_index(self):
+        """Dense map from residue code to the C-order grid index of its dlog,
+        -1 at the codes of non-units."""
+        out = np.full(self.field.q ** self.modulus.deg, -1, dtype=np.int64)
+        codes = np.fromiter(self.dlog, dtype=np.int64, count=self.phi)
+        if not self.dims:
+            out[codes] = 0
+            return out
+        vecs = np.array(list(self.dlog.values()), dtype=np.int64)
+        out[codes] = np.ravel_multi_index(tuple(vecs.T), self.dims)
+        return out
+
     def flat_index(self, code: int) -> int:
         vec = self.dlog[code]
         idx = 0
@@ -475,6 +488,23 @@ def group_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def trivial_grid(group: UnitGroup, codes):
+    """Boolean grid over kvec of the characters trivial on the subgroup with
+    the given unit codes (dims nonempty).
+
+    The DFT of the subgroup's 0/1 indicator is its order at exactly those
+    characters and 0 at all others; every entry is certified against the two
+    values, so rounding can never flip one."""
+    index = group.code_index[np.asarray(codes, dtype=np.int64)]
+    indicator = np.zeros(group.dims)
+    indicator.flat[index] = 1.0
+    dft = np.fft.fftn(indicator)
+    trivial = np.abs(dft - len(index)) < 0.25
+    if not (trivial | (np.abs(dft) < 0.25)).all():
+        raise ArithmeticError("subgroup indicator transform is not 0 or the order")
+    return trivial
+
+
 def primitive_mask(group: UnitGroup):
     """Boolean grid over kvec of which characters are primitive."""
     from .polyring import factor
@@ -486,23 +516,34 @@ def primitive_mask(group: UnitGroup):
         return np.zeros((), dtype=bool)
     mask = np.ones(group.dims, dtype=bool)
     for p, _ in factor(R):
-        kernel = group.kernel_codes(R // p)
-        trivial = np.ones(group.dims, dtype=bool)
-        for code in kernel:
-            trivial &= (group.phase_grid(code) == 0)
-        mask &= ~trivial
+        mask &= ~trivial_grid(group, group.kernel_codes(R // p))
     return mask
+
+
+def conductor_grid(group: UnitGroup):
+    """Integer grid over kvec: the index in divisors(R) of each character's
+    conductor, the smallest S | R with the character trivial on the units
+    congruent to 1 mod S.  Asserts that those S form a divisor lattice."""
+    R = group.modulus
+    if not group.dims:
+        return np.zeros((), dtype=np.int64)
+    divs = divisors(R)   # by degree, so every proper divisor of S precedes S
+    cond = np.full(group.dims, -1, dtype=np.int64)
+    for j, S in enumerate(divs):
+        trivial = trivial_grid(group, group.kernel_codes(S))
+        cond[trivial & (cond < 0)] = j
+        # the smallest inducing modulus divides every other one
+        assert all((S % divs[c]).is_zero() for c in np.unique(cond[trivial]).tolist()), \
+            "inducing moduli do not form a lattice"
+    return cond
 
 
 def even_mask(group: UnitGroup):
     """Boolean grid over kvec of which characters are even."""
-    R = group.modulus
     if not group.dims:
         return np.ones((), dtype=bool)
-    mask = np.ones(group.dims, dtype=bool)
-    F = group.field
-    for c in range(1, F.q):
-        mask &= (group.phase_grid(c) == 0)
-    assert int(mask.sum()) * (F.q - 1) == group.phi, \
+    q = group.field.q
+    mask = trivial_grid(group, range(1, q))   # the nonzero constants
+    assert int(mask.sum()) * (q - 1) == group.phi, \
         "even characters must form an index q-1 subgroup"
     return mask

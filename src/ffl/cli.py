@@ -8,19 +8,25 @@ serializations.  Exit codes: 0 success, 2 precondition/parse error,
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
+
+from . import chargroup, lfunc
 from . import multfun as mf
 from . import moments as mo
 from . import sieveprobe as sp
-from .chargroup import characters
+# characters, l_eval and root_number stay bound here: tracers wrap them by name
+from .chargroup import characters, unit_group  # noqa: F401
 from .errors import BudgetError, PreconditionError
 from .gf import field_of_order
-from .lfunc import l_eval, l_trivial, root_number
+from .lfunc import fe_from_coeffs, l_eval, l_trivial, root_number  # noqa: F401
 from .polyring import (Poly, enumerate_primes, factor, parse_poly, to_pretty,
                        to_text)
 from .qsqrt import QSqrt
@@ -106,43 +112,92 @@ def cmd_arith(args, cfg):
             ["q", "func", "poly", "value"])
 
 
+# The character commands read every character of a modulus off one bulk table:
+# kvec-lex order is the C order of the group's grid, so a row is a grid index.
+
+def _kvec_texts(g):
+    return [":".join(map(str, k)) for k in itertools.product(*map(range, g.dims))]
+
+
+def _flat(grid):
+    return grid.reshape(-1).tolist()
+
+
+def _parity(even: bool) -> str:
+    return "even" if even else "odd"
+
+
+def _l_table(g):
+    """L_n(chi) as a (deg R, phi) array, column k for the character at index k."""
+    table = lfunc.l_coeff_table(g)
+    return np.array(table).reshape(len(table), g.phi)
+
+
+def _l_half(R, g, coeffs):
+    """L(1/2, chi) of every character: l_eval's Horner evaluation on each
+    column, and l_trivial's closed form for the trivial character."""
+    x = R.field.q ** (-complex(0.5))
+    acc = np.zeros(g.phi, dtype=complex)
+    for layer in coeffs[::-1]:
+        acc = acc * x + layer
+    vals = acc.tolist()
+    vals[0] = l_trivial(0.5, R)
+    return vals
+
+
+def _conj_index(g):
+    """Index of conj chi for each index of chi: the negated kvec."""
+    grid = np.arange(g.phi).reshape(g.dims)
+    return _flat(np.roll(np.flip(grid), 1, axis=tuple(range(grid.ndim))))
+
+
+def _root_numbers(R, g, coeffs, rows, even):
+    """(W, FE residual) for each index in rows, from the coefficient columns
+    of chi and conj chi, as root_number computes them."""
+    if not rows:   # includes every phi(R) = 1 group, whose grid has no axes
+        return []
+    q, n, conj = R.field.q, R.deg, _conj_index(g)
+    return [fe_from_coeffs(q, n, coeffs[:, k].tolist(), coeffs[:, conj[k]].tolist(),
+                           even[k]) for k in rows]
+
+
 def cmd_chars(args, cfg):
     R = _poly_arg(cfg, args.mod)
-    rows = []
-    for chi in characters(R):
-        rows.append({"q": cfg.q, "modulus": to_text(R),
-                     "kvec": ":".join(map(str, chi.kvec)),
-                     "parity": "even" if chi.is_even() else "odd",
-                     "primitive": chi.is_primitive(),
-                     "conductor": to_text(chi.conductor())})
+    g = unit_group(R)
+    modulus = to_text(R)
+    divs = [to_text(S) for S in mf.divisors(R)]   # R itself is the last one
+    rows = [{"q": cfg.q, "modulus": modulus, "kvec": kvec, "parity": _parity(even),
+             "primitive": cond == len(divs) - 1, "conductor": divs[cond]}
+            for kvec, even, cond in zip(_kvec_texts(g), _flat(chargroup.even_mask(g)),
+                                        _flat(chargroup.conductor_grid(g)))]
     return rows, ["q", "modulus", "kvec", "parity", "primitive", "conductor"]
 
 
 def _char_rows(R, cfg, kvec_filter=None):
+    g = unit_group(R)
+    picks = range(g.phi)
+    if kvec_filter is not None:
+        if len(kvec_filter) != len(g.dims):
+            raise PreconditionError(f"--kvec needs {len(g.dims)} colon-separated entries")
+        if not all(0 <= k < d for k, d in zip(kvec_filter, g.dims)):
+            raise PreconditionError(f"--kvec entries must lie in 0 <= k < d for dims {g.dims}")
+        picks = [int(np.ravel_multi_index(kvec_filter, g.dims))]
+    modulus, kvecs = to_text(R), _kvec_texts(g)
+    even = _flat(chargroup.even_mask(g))
+    primitive = _flat(chargroup.primitive_mask(g))
+    coeffs = _l_table(g)
+    vals = _l_half(R, g, coeffs)
+    fe_rows = [k for k in picks if primitive[k] and R.deg > 0]
+    fe = dict(zip(fe_rows, _root_numbers(R, g, coeffs, fe_rows, even)))
     rows = []
-    chars = characters(R)
-    if kvec_filter is not None and len(kvec_filter) != len(chars[0].kvec):
-        raise PreconditionError(f"--kvec needs {len(chars[0].kvec)} colon-separated entries")
-    for chi in chars:
-        if kvec_filter is not None and chi.kvec != kvec_filter:
-            continue
-        parity = "even" if chi.is_even() else "odd"
-        primitive = chi.is_primitive()
-        if chi.is_trivial():
-            val = l_trivial(0.5, R)
-        else:
-            val = l_eval(chi, 0.5)
-        row = {"q": cfg.q, "modulus": to_text(R),
-               "kvec": ":".join(map(str, chi.kvec)), "parity": parity,
-               "primitive": primitive,
-               "re_l_half": val.real, "im_l_half": val.imag,
-               "abs2_l_half": abs(val) ** 2,
-               "abs_w": None, "fe_residual": None}
-        if primitive and R.deg > 0:
-            rn = root_number(chi)
-            row["abs_w"] = abs(rn.value)
-            row["fe_residual"] = rn.consistency_residual
-        rows.append(row)
+    for k in picks:
+        val = vals[k]
+        w, residual = fe.get(k, (None, None))
+        rows.append({"q": cfg.q, "modulus": modulus, "kvec": kvecs[k],
+                     "parity": _parity(even[k]), "primitive": primitive[k],
+                     "re_l_half": val.real, "im_l_half": val.imag,
+                     "abs2_l_half": abs(val) ** 2,
+                     "abs_w": None if w is None else abs(w), "fe_residual": residual})
     return rows
 
 
@@ -156,17 +211,19 @@ def cmd_lvalue(args, cfg):
 
 def cmd_fe_check(args, cfg):
     R = _poly_arg(cfg, args.mod)
-    rows = []
-    for chi in characters(R):
-        if not chi.is_primitive() or R.deg == 0:
-            continue
-        rn = root_number(chi)
-        rows.append({"q": cfg.q, "modulus": to_text(R),
-                     "kvec": ":".join(map(str, chi.kvec)), "parity": rn.parity,
-                     "re_w": rn.value.real, "im_w": rn.value.imag,
-                     "abs_w": abs(rn.value), "fe_residual": rn.consistency_residual})
-    return rows, ["q", "modulus", "kvec", "parity", "re_w", "im_w", "abs_w",
-                  "fe_residual"]
+    g = unit_group(R)
+    fields = ["q", "modulus", "kvec", "parity", "re_w", "im_w", "abs_w", "fe_residual"]
+    if R.deg == 0:
+        return [], fields
+    modulus, kvecs = to_text(R), _kvec_texts(g)
+    even = _flat(chargroup.even_mask(g))
+    fe_rows = [k for k, prim in enumerate(_flat(chargroup.primitive_mask(g))) if prim]
+    rows = [{"q": cfg.q, "modulus": modulus, "kvec": kvecs[k],
+             "parity": _parity(even[k]), "re_w": w.real, "im_w": w.imag,
+             "abs_w": abs(w), "fe_residual": residual}
+            for k, (w, residual) in zip(fe_rows, _root_numbers(R, g, _l_table(g),
+                                                               fe_rows, even))]
+    return rows, fields
 
 
 def cmd_moment2(args, cfg):
@@ -369,9 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process: parsing leaves the parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     saved_budget = os.environ.get("FFL_MAX_TABLE")
     try:
         q = _parse_q(args.q)

@@ -198,27 +198,18 @@ def half_sum_sq(chi: DirichletChar) -> complex:
 # -- bulk paths over all characters of a modulus -----------------------------
 
 def l_coeff_table(group: UnitGroup):
-    """Array of shape (deg R, *dims): L_n over all characters at once, via group DFT."""
-    R = group.modulus
+    """L_n over all characters at once, via group DFT: deg R grids of shape dims."""
     q = group.field.q
-    n_max = R.deg
-    dims = group.dims
+    index = group.code_index
     out = []
-    for n in range(n_max):
-        if not dims:
-            cnt = 0.0
-            for code in range(q ** n, 2 * q ** n):
-                if code in group.dlog:
-                    cnt += 1.0
-            out.append(np.asarray(cnt, dtype=complex))
+    for n in range(group.modulus.deg):
+        layer = index[q ** n:2 * q ** n]   # the monic residues of degree n
+        layer = layer[layer >= 0]
+        if not group.dims:
+            out.append(np.asarray(float(len(layer)), dtype=complex))
             continue
-        grid = np.zeros(dims, dtype=float)
-        flat = grid.reshape(-1)
-        for code in range(q ** n, 2 * q ** n):
-            vec = group.dlog.get(code)
-            if vec is not None:
-                flat[group.flat_index(code)] += 1.0
-        out.append(np.fft.ifftn(grid) * group.phi)
+        grid = np.bincount(layer, minlength=group.phi).reshape(group.dims)
+        out.append(np.fft.ifftn(grid.astype(float)) * group.phi)
     return out
 
 

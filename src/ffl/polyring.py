@@ -532,10 +532,18 @@ def _find_irreducible_factor(g: Poly) -> Poly:
             return block
 
 
+@lru_cache(maxsize=256)
 def factor(a: Poly) -> Factorization:
-    """Unique factorization; trial division at small degree, DDF/EDF splitting above."""
+    """Unique factorization, kept for the 256 most recent polynomials, so the
+    budget check, the unit sieve, the masks and the arithmetic functions of one
+    modulus share one Factorization."""
     if a.is_zero():
         raise PreconditionError("cannot factor the zero polynomial")
+    return _factor(a)
+
+
+def _factor(a: Poly) -> Factorization:
+    """Trial division at small degree, DDF/EDF splitting above."""
     F = a.field
     unit = a.lc()
     m = a.monic()

@@ -6,7 +6,7 @@ import pytest
 
 from ffl.chargroup import (DirichletChar, UnitGroup, characters, even_mask,
                            group_convolve, primitive_mask, primitive_pair_sum,
-                           unit_group)
+                           trivial_grid, unit_group)
 from ffl.errors import BudgetError, PreconditionError
 from ffl.gf import field_make, field_of_order
 from ffl.multfun import divisors, phi, phi_star
@@ -287,3 +287,22 @@ def test_character_kvec_length_checked_before_reduction():
     for bad in ((1, 1, 7, 9), (), (1, 0)):
         with pytest.raises(PreconditionError):
             DirichletChar(g, bad)
+
+
+def test_trivial_grids_match_phase_grid_loop():
+    # the DFT test behind the masks and the conductor grid, against the AND of
+    # one phase grid per subgroup element: every kernel of reduction mod a
+    # divisor, and the nonzero constants
+    grid = {2: 6, 3: 4, 4: 3, 5: 2, 7: 2, 8: 2, 9: 2}
+    for q, maxdeg in grid.items():
+        F = field_of_order(q)
+        for d in range(1, maxdeg + 1):
+            for R in enumerate_monic(F, d):
+                g = unit_group(R)
+                if not g.dims:
+                    continue
+                for codes in [g.kernel_codes(S) for S in divisors(R)] + [range(1, q)]:
+                    want = np.ones(g.dims, dtype=bool)
+                    for code in codes:
+                        want &= g.phase_grid(code) == 0
+                    assert np.array_equal(trivial_grid(g, codes), want), (q, R.code)

@@ -1,6 +1,14 @@
+import csv
+import io
 import json
 
+import pytest
+
+from ffl.chargroup import characters
 from ffl.cli import main
+from ffl.gf import field_of_order
+from ffl.lfunc import l_eval, l_trivial, root_number
+from ffl.polyring import enumerate_monic, from_code, to_text
 
 
 def run(capsys, *argv):
@@ -111,7 +119,6 @@ def test_probe_csv_schema(capsys):
 
 
 def test_unknown_flag_rejected(capsys):
-    import pytest
     with pytest.raises(SystemExit) as exc:
         main(["--q", "2", "primes", "--deg", "1", "--bogus"])
     assert exc.value.code == 2
@@ -145,6 +152,18 @@ def test_lvalue_kvec_wrong_length_exits_2(capsys):
     assert rc == 0 and len(out.splitlines()) == 2
 
 
+def test_lvalue_kvec_outside_axis_exits_2(capsys):
+    # T^3 over F_2 has dims (4,), T^4 has dims (4, 2)
+    for mod, kvec in (("T^3", "5"), ("T^3", "4"), ("T^3", "-1"), ("T^4", "0:2"),
+                      ("T^4", "4:0"), ("T^4", "1:-1")):
+        rc = main(["--q", "2", "lvalue", "--mod", mod, "--kvec", kvec])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "" and "--kvec" in err, (mod, kvec)
+    rc, out = run(capsys, "--q", "2", "lvalue", "--mod", "T^4", "--kvec", "3:1")
+    lines = out.splitlines()
+    assert rc == 0 and len(lines) == 2 and ",3:1," in lines[1]
+
+
 CHAR_CLI_FLOATS = {"lvalue": {"re_l_half", "im_l_half", "abs2_l_half", "abs_w",
                               "fe_residual"},
                    "fe-check": {"re_w", "im_w", "abs_w", "fe_residual"},
@@ -155,11 +174,7 @@ def test_char_cli_golden(capsys):
     # frozen stdout of chars / lvalue / fe-check for 369 moduli, written by
     # per-character sums (see data/make_char_cli_golden.py): every non-float
     # cell, the header and the row order byte for byte, floats to 1e-12
-    import csv
     from pathlib import Path
-
-    from ffl.gf import field_of_order
-    from ffl.polyring import from_code, to_text
     doc = json.loads((Path(__file__).parent / "data" / "char_cli_golden.json").read_text())
     headers, entries = doc["headers"], doc["entries"]
     assert len(entries) == 1107
@@ -180,3 +195,71 @@ def test_char_cli_golden(capsys):
                     assert abs(g - e) <= 1e-12 * max(1.0, abs(e)), (q, code, command, name)
                 else:
                     assert got == exp, (q, code, command, name)
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    import ffl.cli as cli
+    rc, first = run(capsys, "--q", "2", "primes", "--deg", "2")
+
+    def rebuilt():
+        raise AssertionError("parser rebuilt")
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    rc2, again = run(capsys, "--q", "2", "primes", "--deg", "2")
+    assert rc == rc2 == 0 and again == first
+    for argv, code in ((["--help"], 0), (["--q", "2", "chars", "--help"], 0),
+                       (["--q", "2", "chars"], 2)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    assert "usage: ffl" in capsys.readouterr().out
+
+
+# every monic modulus over F_2 deg <= 6, F_3 <= 4, F_4 <= 3, F_5/F_7/F_8/F_9 <= 2
+ORACLE_GRID = {2: 6, 3: 4, 4: 3, 5: 2, 7: 2, 8: 2, 9: 2}
+
+
+def oracle_moduli():
+    for q, maxdeg in ORACLE_GRID.items():
+        F = field_of_order(q)
+        for d in range(maxdeg + 1):
+            yield from enumerate_monic(F, d)
+
+
+def cli_table(capsys, R, command):
+    rc, out = run(capsys, "--q", str(R.field.q), command, "--mod", to_text(R))
+    assert rc == 0
+    return list(csv.DictReader(io.StringIO(out)))
+
+
+def test_character_commands_match_scalar_oracle(capsys):
+    # the bulk rows of chars / lvalue / fe-check against the per-character
+    # DirichletChar, l_eval and root_number paths, row by row
+    def close(got, want):
+        return abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    for R in oracle_moduli():
+        chars = characters(R)
+        rows, lrows = cli_table(capsys, R, "chars"), cli_table(capsys, R, "lvalue")
+        frows = iter(cli_table(capsys, R, "fe-check"))
+        for chi, row, lrow in zip(chars, rows, lrows, strict=True):
+            kvec = ":".join(map(str, chi.kvec))
+            parity = "even" if chi.is_even() else "odd"
+            primitive = chi.is_primitive()
+            assert row["kvec"] == lrow["kvec"] == kvec, (R, kvec)
+            assert row["parity"] == lrow["parity"] == parity, (R, kvec)
+            assert row["primitive"] == lrow["primitive"] == str(int(primitive)), (R, kvec)
+            assert row["conductor"] == to_text(chi.conductor()), (R, kvec)
+            want = l_trivial(0.5, R) if chi.is_trivial() else l_eval(chi, 0.5)
+            got = complex(float(lrow["re_l_half"]), float(lrow["im_l_half"]))
+            assert close(got, want) and close(float(lrow["abs2_l_half"]), abs(want) ** 2)
+            if not primitive or R.deg == 0:
+                assert lrow["abs_w"] == lrow["fe_residual"] == "", (R, kvec)
+                continue
+            rn = root_number(chi)
+            frow = next(frows)
+            assert frow["kvec"] == kvec and frow["parity"] == rn.parity, (R, kvec)
+            assert close(complex(float(frow["re_w"]), float(frow["im_w"])), rn.value)
+            for r in (frow, lrow):
+                assert close(float(r["abs_w"]), abs(rn.value)), (R, kvec)
+                assert close(float(r["fe_residual"]), rn.consistency_residual), (R, kvec)
+        assert next(frows, None) is None, R

@@ -92,6 +92,26 @@ def test_factor_examples():
     assert factor(one(F3)).factors == ()
 
 
+def test_factor_cache(monkeypatch):
+    import ffl.polyring as polyring
+    from ffl.chargroup import _cached_unit_group, unit_group
+    R = parse_poly(F3, "T^4+T^3+2T+1") * parse_poly(F3, "T^2+1")
+    first = factor(R)
+    assert factor(R) == first and factor(R).value() == R
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            factor(zero(F3))
+    # a unit group built from scratch factors its modulus once: the budget
+    # check, the group's own check and the unit sieve share one Factorization
+    factor.cache_clear()
+    _cached_unit_group.cache_clear()
+    seen = []
+    body = polyring._factor
+    monkeypatch.setattr(polyring, "_factor", lambda a: seen.append(a) or body(a))
+    assert unit_group(R).phi == 8 * 80
+    assert seen.count(R) == 1
+
+
 def test_factor_roundtrip_random():
     rnd = random.Random(20240810)
     for F in (F2, F3, F4):
