@@ -505,6 +505,16 @@ def trivial_grid(group: UnitGroup, codes):
     return trivial
 
 
+def conj_grid(group: UnitGroup):
+    """Integer grid over kvec: the C-order grid index of conj chi, whose kvec
+    is the negated one, as DirichletChar.conj forms it."""
+    grid = np.arange(group.phi).reshape(group.dims)
+    if not group.dims:
+        return grid
+    # flipping maps k to d-1-k, rolling by one then maps k to -k mod d
+    return np.roll(np.flip(grid), 1, axis=tuple(range(grid.ndim)))
+
+
 def primitive_mask(group: UnitGroup):
     """Boolean grid over kvec of which characters are primitive."""
     from .polyring import factor

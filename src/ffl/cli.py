@@ -26,7 +26,7 @@ from . import sieveprobe as sp
 from .chargroup import characters, unit_group  # noqa: F401
 from .errors import BudgetError, PreconditionError
 from .gf import field_of_order
-from .lfunc import fe_from_coeffs, l_eval, l_trivial, root_number  # noqa: F401
+from .lfunc import l_eval, l_trivial, root_number  # noqa: F401
 from .polyring import (Poly, enumerate_primes, factor, parse_poly, to_pretty,
                        to_text)
 from .qsqrt import QSqrt
@@ -127,40 +127,6 @@ def _parity(even: bool) -> str:
     return "even" if even else "odd"
 
 
-def _l_table(g):
-    """L_n(chi) as a (deg R, phi) array, column k for the character at index k."""
-    table = lfunc.l_coeff_table(g)
-    return np.array(table).reshape(len(table), g.phi)
-
-
-def _l_half(R, g, coeffs):
-    """L(1/2, chi) of every character: l_eval's Horner evaluation on each
-    column, and l_trivial's closed form for the trivial character."""
-    x = R.field.q ** (-complex(0.5))
-    acc = np.zeros(g.phi, dtype=complex)
-    for layer in coeffs[::-1]:
-        acc = acc * x + layer
-    vals = acc.tolist()
-    vals[0] = l_trivial(0.5, R)
-    return vals
-
-
-def _conj_index(g):
-    """Index of conj chi for each index of chi: the negated kvec."""
-    grid = np.arange(g.phi).reshape(g.dims)
-    return _flat(np.roll(np.flip(grid), 1, axis=tuple(range(grid.ndim))))
-
-
-def _root_numbers(R, g, coeffs, rows, even):
-    """(W, FE residual) for each index in rows, from the coefficient columns
-    of chi and conj chi, as root_number computes them."""
-    if not rows:   # includes every phi(R) = 1 group, whose grid has no axes
-        return []
-    q, n, conj = R.field.q, R.deg, _conj_index(g)
-    return [fe_from_coeffs(q, n, coeffs[:, k].tolist(), coeffs[:, conj[k]].tolist(),
-                           even[k]) for k in rows]
-
-
 def cmd_chars(args, cfg):
     R = _poly_arg(cfg, args.mod)
     g = unit_group(R)
@@ -185,10 +151,11 @@ def _char_rows(R, cfg, kvec_filter=None):
     modulus, kvecs = to_text(R), _kvec_texts(g)
     even = _flat(chargroup.even_mask(g))
     primitive = _flat(chargroup.primitive_mask(g))
-    coeffs = _l_table(g)
-    vals = _l_half(R, g, coeffs)
+    coeffs = lfunc.l_coeff_table(g)
+    vals = _flat(lfunc.l_half_table(g, coeffs))
+    vals[0] = l_trivial(0.5, R)   # index 0 is the trivial character
     fe_rows = [k for k in picks if primitive[k] and R.deg > 0]
-    fe = dict(zip(fe_rows, _root_numbers(R, g, coeffs, fe_rows, even)))
+    fe = dict(zip(fe_rows, lfunc.fe_from_table(g, coeffs, even, fe_rows)))
     rows = []
     for k in picks:
         val = vals[k]
@@ -221,8 +188,8 @@ def cmd_fe_check(args, cfg):
     rows = [{"q": cfg.q, "modulus": modulus, "kvec": kvecs[k],
              "parity": _parity(even[k]), "re_w": w.real, "im_w": w.imag,
              "abs_w": abs(w), "fe_residual": residual}
-            for k, (w, residual) in zip(fe_rows, _root_numbers(R, g, _l_table(g),
-                                                               fe_rows, even))]
+            for k, (w, residual) in zip(fe_rows, lfunc.fe_from_table(
+                g, lfunc.l_coeff_table(g), even, fe_rows))]
     return rows, fields
 
 
@@ -344,6 +311,7 @@ def cmd_growth(args, cfg):
 
 # -- parser --------------------------------------------------------------------
 
+@lru_cache(maxsize=1)   # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ffl",
@@ -426,14 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """build_parser(), once per process: parsing leaves the parser unchanged."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     saved_budget = os.environ.get("FFL_MAX_TABLE")
     try:
         q = _parse_q(args.q)

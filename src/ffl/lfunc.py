@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chargroup import DirichletChar, UnitGroup
+from .chargroup import DirichletChar, UnitGroup, conj_grid
 from .errors import PreconditionError
 from .polyring import Poly, factor
 
@@ -198,28 +198,34 @@ def half_sum_sq(chi: DirichletChar) -> complex:
 # -- bulk paths over all characters of a modulus -----------------------------
 
 def l_coeff_table(group: UnitGroup):
-    """L_n over all characters at once, via group DFT: deg R grids of shape dims."""
+    """Array of shape (deg R, *dims): L_n over all characters at once, via group DFT."""
     q = group.field.q
-    index = group.code_index
-    out = []
+    out = np.empty((group.modulus.deg, *group.dims), dtype=complex)
     for n in range(group.modulus.deg):
-        layer = index[q ** n:2 * q ** n]   # the monic residues of degree n
-        layer = layer[layer >= 0]
-        if not group.dims:
-            out.append(np.asarray(float(len(layer)), dtype=complex))
-            continue
-        grid = np.bincount(layer, minlength=group.phi).reshape(group.dims)
-        out.append(np.fft.ifftn(grid.astype(float)) * group.phi)
+        layer = group.code_index[q ** n:2 * q ** n]   # the monic residues of degree n
+        counts = np.bincount(layer[layer >= 0], minlength=group.phi)
+        out[n] = np.fft.ifftn(counts.reshape(group.dims).astype(float)) * group.phi
     return out
 
 
-def l_half_table(group: UnitGroup):
-    """L(1/2, chi) for every chi (finite-sum convention), shape dims."""
+def l_half_table(group: UnitGroup, table=None):
+    """L(1/2, chi) for every chi (finite-sum convention), shape dims; table is
+    l_coeff_table(group) when already computed."""
     q = group.field.q
-    table = l_coeff_table(group)
-    if not table:
-        return np.zeros(group.dims or (), dtype=complex)
-    acc = np.zeros_like(table[0], dtype=complex)
+    if table is None:
+        table = l_coeff_table(group)
+    acc = np.zeros(group.dims, dtype=complex)
     for n, layer in enumerate(table):
         acc = acc + layer * q ** (-n / 2)
     return acc
+
+
+def fe_from_table(group: UnitGroup, table, even, picks):
+    """(W, residual) of fe_from_coeffs for each C-order grid index in picks,
+    from the l_coeff_table columns of chi and of conj chi; even is the flat
+    even mask."""
+    q, n = group.field.q, group.modulus.deg
+    columns = table.reshape(n, group.phi)
+    conj = conj_grid(group).reshape(-1)
+    return [fe_from_coeffs(q, n, columns[:, k].tolist(), columns[:, conj[k]].tolist(),
+                           even[k]) for k in picks]

@@ -38,9 +38,8 @@ def _s_grids(g: UnitGroup, scale_pow: int):
     so = np.zeros_like(se)
     for d in range(g.modulus.deg):
         grid, value = (so if d % 2 else se), q ** (scale_pow - (d + 1) // 2)
-        for code in range(q ** d, 2 * q ** d):
-            if code in g.dlog:
-                grid.flat[g.flat_index(code) if g.dims else 0] = value
+        layer = g.code_index[q ** d:2 * q ** d]   # the monic residues of degree d
+        grid.flat[layer[layer >= 0]] = value
     return se, so
 
 
@@ -49,7 +48,7 @@ def _divisor_bucket_sum(g: UnitGroup, xe, xo):
     X = xe + xo sqrt(q) on the unit grid and X_F(r) its sum over the units = r
     mod F: the sum of X(x) X(y) weighted by the primitive pair sum of (x, y)."""
     R, q = g.modulus, g.field.q
-    pos = [g.flat_index(code) for code in g.unit_codes] if g.dims else [0]
+    pos = g.code_index[list(g.unit_codes)]
     e_units = xe.reshape(-1)[pos]
     o_units = xo.reshape(-1)[pos]
     a = b = 0

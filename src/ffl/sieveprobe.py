@@ -314,17 +314,12 @@ def _coprime_residue_counts(group, d: int):
     """Grid over dlog space of #{monic A of degree d, (A,F)=1, A = u mod F}."""
     F = group.modulus
     q = group.field.q
-    grid = np.zeros(group.dims or (1,), dtype=np.int64)
-    flat = grid.reshape(-1)
-    if d < F.deg:
-        for code in range(q ** d, 2 * q ** d):
-            vec = group.dlog.get(code)
-            if vec is not None:
-                flat[group.flat_index(code) if group.dims else 0] += 1
-    else:
-        for code in group.unit_codes:
-            flat[group.flat_index(code) if group.dims else 0] += q ** (d - F.deg)
-    return grid
+    shape = group.dims or (1,)
+    if d >= F.deg:
+        # every unit class mod F holds q^(d - deg F) monic A of degree d
+        return np.full(shape, q ** (d - F.deg), dtype=np.int64)
+    layer = group.code_index[q ** d:2 * q ** d]   # the monic residues of degree d
+    return np.bincount(layer[layer >= 0], minlength=group.phi).reshape(shape)
 
 
 def off_diagonal_count(F: Poly, z1: int, z2: int, a: int = 1,

@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ffl.chargroup import (DirichletChar, UnitGroup, characters, even_mask,
-                           group_convolve, primitive_mask, primitive_pair_sum,
-                           trivial_grid, unit_group)
+from ffl.chargroup import (DirichletChar, UnitGroup, characters, conj_grid,
+                           even_mask, group_convolve, primitive_mask,
+                           primitive_pair_sum, trivial_grid, unit_group)
 from ffl.errors import BudgetError, PreconditionError
 from ffl.gf import field_make, field_of_order
 from ffl.multfun import divisors, phi, phi_star
@@ -306,3 +306,18 @@ def test_trivial_grids_match_phase_grid_loop():
                     for code in codes:
                         want &= g.phase_grid(code) == 0
                     assert np.array_equal(trivial_grid(g, codes), want), (q, R.code)
+
+
+def test_index_grids_match_per_code():
+    # code_index against flat_index code by code, and conj_grid against
+    # DirichletChar.conj character by character, phi(R) = 1 groups included
+    for q, maxdeg in {2: 5, 3: 3, 4: 2, 9: 2}.items():
+        F = field_of_order(q)
+        for d in range(maxdeg + 1):
+            for R in enumerate_monic(F, d):
+                g = unit_group(R)
+                want = [g.flat_index(c) if c in g.dlog else -1 for c in range(q ** d)]
+                assert g.code_index.tolist() == want, (q, R.code)
+                chars = characters(R)
+                conj = conj_grid(g).reshape(-1)
+                assert [chars[k] for k in conj] == [chi.conj() for chi in chars], (q, R.code)

@@ -197,15 +197,13 @@ def test_char_cli_golden(capsys):
                     assert got == exp, (q, code, command, name)
 
 
-def test_parser_built_once_per_process(capsys, monkeypatch):
-    import ffl.cli as cli
+def test_parser_built_once_per_process(capsys):
+    from ffl.cli import build_parser
     rc, first = run(capsys, "--q", "2", "primes", "--deg", "2")
-
-    def rebuilt():
-        raise AssertionError("parser rebuilt")
-    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    misses = build_parser.cache_info().misses
     rc2, again = run(capsys, "--q", "2", "primes", "--deg", "2")
     assert rc == rc2 == 0 and again == first
+    assert build_parser.cache_info().misses == misses == 1
     for argv, code in ((["--help"], 0), (["--q", "2", "chars", "--help"], 0),
                        (["--q", "2", "chars"], 2)):
         with pytest.raises(SystemExit) as exc:
