@@ -15,23 +15,20 @@ from math import gcd as igcd, lcm as ilcm, tau as TWO_PI
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
+from .gf import prime_divisors
 from .multfun import divisors, mu, phi
 from .polyring import Poly, max_table_entries, monomial, poly_gcd
 
 DEFAULT_GROUP_BUDGET = 10 ** 6
 
 
-def _prime_factorization_int(n: int):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def _unravel(index: int, dims):
+    """The exponent vector at a C-order index of the grid of shape dims."""
+    vec = []
+    for d in reversed(dims):
+        index, x = divmod(index, d)
+        vec.append(x)
+    return tuple(reversed(vec))
 
 
 def _reduction_rows(M: Poly, top: int):
@@ -154,7 +151,11 @@ def _checked_phi(R: Poly, budget: int = None) -> int:
 
 
 class UnitGroup:
-    """(F_q[T]/R)^* with canonical unit order, generator basis and additive dlog."""
+    """(F_q[T]/R)^* with canonical unit order, generator basis and additive dlog.
+
+    code_index is the one discrete-log map: an int64 array over all q^deg R
+    residue codes holding -1 at non-units and, at a unit, the C-order index
+    over dims of its exponent vector."""
 
     def __init__(self, R: Poly, budget: int = None):
         field = R.field
@@ -163,34 +164,39 @@ class UnitGroup:
         self.phi = _checked_phi(R, budget)
         q = field.q
         if R.deg == 0:
-            self.unit_codes = (0,)
+            self.unit_codes = np.zeros(1, dtype=np.int64)
             self.identity = 0
         else:
             from .polyring import code_mul_fn, factor
-            marked = bytearray(q ** R.deg)
+            marked = bytearray(q ** R.deg)   # code 0 is marked as a multiple
             cmul = code_mul_fn(field)
             for P, _ in factor(R):
                 pc = P.code
                 for mcode in range(q ** (R.deg - P.deg)):
                     marked[cmul(mcode, pc)] = 1
-            self.unit_codes = tuple(c for c in range(1, q ** R.deg) if not marked[c])
+            self.unit_codes = np.flatnonzero(np.frombuffer(marked, dtype=np.uint8) == 0)
             self.identity = 1
         assert len(self.unit_codes) == self.phi
         self._build_basis()
+        # cached groups are shared by every caller
+        self.unit_codes.flags.writeable = self.code_index.flags.writeable = False
         self.lcm_order = ilcm(*self.orders) if self.orders else 1
         self._kernel_cache = {}
 
     def _build_basis(self):
-        """Greedy generator extraction, batched over all units with numpy."""
+        """Greedy generator extraction, batched over all units with numpy; fills
+        code_index along the way."""
+        self.code_index = np.full(self.field.q ** self.modulus.deg, -1, dtype=np.int64)
         if self.phi == 1:
             self.gens = self.orders = self.dims = ()
-            self.dlog = {self.identity: ()}
+            self.code_index[self.identity] = 0
             return
         res = _Residues(self.modulus)
         U = res.digits(self.unit_codes)
         gens, orders = [], []
+        # the subgroup H generated so far, and the grid index of each element
         h_codes = np.array([self.identity], dtype=np.int64)
-        h_vecs = np.zeros((1, 0), dtype=np.int64)
+        h_index = np.zeros(1, dtype=np.int64)
         m = self.phi
         while len(h_codes) < self.phi:
             h_sorted = np.sort(h_codes)
@@ -203,7 +209,7 @@ class UnitGroup:
             # exponent of G/H, one prime at a time; it divides the previous
             # one because H only grows, so the search starts there
             power_in_h = {}
-            for ell in sorted(_prime_factorization_int(m)):
+            for ell in prime_divisors(m):
                 while m % ell == 0:
                     inside = in_h(res.codes(res.pow(U, m // ell)))
                     if inside.all():
@@ -214,7 +220,7 @@ class UnitGroup:
                         break
             # canonically smallest unit achieving quotient order m
             ach = np.ones(self.phi, dtype=bool)
-            for ell in _prime_factorization_int(m):
+            for ell in prime_divisors(m):
                 inside = power_in_h.get(ell)
                 if inside is None:
                     inside = in_h(res.codes(res.pow(U, m // ell)))
@@ -222,31 +228,28 @@ class UnitGroup:
             idx = np.nonzero(ach)[0]
             assert idx.size
             g = self._adjust_generator(res, U[idx[0]:idx[0] + 1], m, gens, orders,
-                                       h_codes, h_vecs)
-            # extend H by the new cyclic factor of order m
-            blocks_c = [h_codes]
-            blocks_v = [np.concatenate(
-                [h_vecs, np.zeros((len(h_codes), 1), dtype=np.int64)], axis=1)]
+                                       h_codes, h_index)
+            # extend H by the new cyclic factor of order m: h g^e has index i*m + e
+            blocks = [h_codes]
             cur = res.digits(h_codes)
             for e in range(1, m):
                 cur = res.mul(cur, g)
-                blocks_c.append(res.codes(cur))
-                blocks_v.append(np.concatenate(
-                    [h_vecs, np.full((len(h_codes), 1), e, dtype=np.int64)], axis=1))
-            h_codes = np.concatenate(blocks_c)
-            h_vecs = np.concatenate(blocks_v)
+                blocks.append(res.codes(cur))
+            h_codes = np.concatenate(blocks)
+            h_index = (h_index * m + np.arange(m, dtype=np.int64)[:, None]).reshape(-1)
             gens.append(int(res.codes(g)[0]))
             orders.append(m)
         self.gens = tuple(gens)
         self.orders = tuple(orders)
         self.dims = self.orders
-        self.dlog = dict(zip(h_codes.tolist(), map(tuple, h_vecs.tolist())))
+        self.code_index[h_codes] = h_index
 
-    def _adjust_generator(self, res, u, d, gens, orders, h_codes, h_vecs):
+    def _adjust_generator(self, res, u, d, gens, orders, h_codes, h_index):
         """Rescale the coset pick u (a one-row batch) so its absolute order equals
-        its quotient order d; h_codes/h_vecs list the subgroup H and its dlogs."""
+        its quotient order d; h_codes/h_index list the subgroup H and the grid
+        index of each element over orders."""
         ud = res.codes(res.pow(u, d))[0]
-        cvec = h_vecs[np.flatnonzero(h_codes == ud)[0]].tolist()
+        cvec = _unravel(int(h_index[np.flatnonzero(h_codes == ud)[0]]), orders)
         adjusted = u
         for gj, dj, cj in zip(gens, orders, cvec):
             if cj == 0:
@@ -259,12 +262,17 @@ class UnitGroup:
         assert res.codes(res.pow(adjusted, d))[0] == self.identity
         return adjusted
 
+    def dlog_code(self, code: int):
+        """Exponent vector of the unit with this residue code; None at non-units."""
+        size = len(self.code_index)
+        if not 0 <= code < size:
+            raise PreconditionError(f"residue code {code} is outside 0..{size - 1}")
+        index = int(self.code_index[code])
+        return None if index < 0 else _unravel(index, self.dims)
+
     def dlog_of(self, a: Poly):
         """Exponent vector of a residue; None when gcd(a, R) != 1."""
-        if self.modulus.deg == 0:
-            return ()
-        r = (a % self.modulus).code
-        return self.dlog.get(r)
+        return self.dlog_code((a % self.modulus).code)
 
     def residue_codes(self, S: Poly):
         """Codes of the units reduced mod S, for monic S | R, in unit_codes order."""
@@ -278,40 +286,15 @@ class UnitGroup:
         cached = self._kernel_cache.get(key)
         if cached is not None:
             return cached
-        if S.deg == 0:
-            out = tuple(self.unit_codes)
-        else:
-            units = np.array(self.unit_codes, dtype=np.int64)
-            out = tuple(units[self.residue_codes(S) == 1].tolist())
+        out = self.unit_codes[self.residue_codes(S) == 1] if S.deg else self.unit_codes
+        out.flags.writeable = False
         self._kernel_cache[key] = out
         return out
-
-    # -- grid helpers for bulk character work ------------------------------
-
-    @cached_property
-    def code_index(self):
-        """Dense map from residue code to the C-order grid index of its dlog,
-        -1 at the codes of non-units."""
-        out = np.full(self.field.q ** self.modulus.deg, -1, dtype=np.int64)
-        codes = np.fromiter(self.dlog, dtype=np.int64, count=self.phi)
-        if not self.dims:
-            out[codes] = 0
-            return out
-        vecs = np.array(list(self.dlog.values()), dtype=np.int64)
-        out[codes] = np.ravel_multi_index(tuple(vecs.T), self.dims)
-        return out
-
-    def flat_index(self, code: int) -> int:
-        vec = self.dlog[code]
-        idx = 0
-        for x, d in zip(vec, self.dims):
-            idx = idx * d + x
-        return idx
 
     def phase_grid(self, code: int):
         """Grid over all kvec of (sum_i k_i x_i L/d_i) mod L for the unit's dlog x."""
         L = self.lcm_order
-        vec = self.dlog[code]
+        vec = self.dlog_code(code)
         if not self.dims:
             return np.zeros((), dtype=np.int64)
         total = np.zeros(self.dims, dtype=np.int64)
@@ -328,7 +311,7 @@ def unit_group(R: Poly, budget: int = None) -> UnitGroup:
     return _cached_unit_group(R, _checked_phi(R, budget))
 
 
-@lru_cache(maxsize=64)   # a group holds about 190 bytes per unit
+@lru_cache(maxsize=64)   # a group holds about 24 bytes per unit
 def _cached_unit_group(R: Poly, phi_r: int) -> UnitGroup:
     # phi_r is a function of R, so the cache is keyed on R alone
     return UnitGroup(R, budget=phi_r)
@@ -364,17 +347,18 @@ class DirichletChar:
     def __hash__(self):
         return hash((self.group.modulus, self.kvec))
 
-    def phase_numerator(self, a: Poly):
-        """t with chi(a) = exp(2 pi i t / L), or None when chi(a) = 0."""
+    def _phase(self, code: int):
+        """t with chi = exp(2 pi i t / L) at a residue code, or None at non-units."""
         g = self.group
-        vec = g.dlog_of(a)
+        vec = g.dlog_code(code)
         if vec is None:
             return None
         L = g.lcm_order
-        t = 0
-        for k, x, d in zip(self.kvec, vec, g.dims):
-            t += k * x * (L // d)
-        return t % L
+        return sum(k * x * (L // d) for k, x, d in zip(self.kvec, vec, g.dims)) % L
+
+    def phase_numerator(self, a: Poly):
+        """t with chi(a) = exp(2 pi i t / L), or None when chi(a) = 0."""
+        return self._phase((a % self.modulus).code)
 
     def value(self, a: Poly) -> complex:
         t = self.phase_numerator(a)
@@ -384,15 +368,11 @@ class DirichletChar:
         return complex(np.exp(1j * (TWO_PI * t / g.lcm_order)))
 
     def value_code(self, code: int) -> complex:
-        g = self.group
-        vec = g.dlog.get(code)
-        if vec is None:
+        """chi at a residue code; PreconditionError outside 0 <= code < q^deg R."""
+        t = self._phase(code)
+        if t is None:
             return 0j
-        L = g.lcm_order
-        t = 0
-        for k, x, d in zip(self.kvec, vec, g.dims):
-            t += k * x * (L // d)
-        return complex(np.exp(1j * (TWO_PI * (t % L) / L)))
+        return complex(np.exp(1j * (TWO_PI * t / self.group.lcm_order)))
 
     # -- parity and primitivity -------------------------------------------
 
@@ -409,16 +389,7 @@ class DirichletChar:
         return True
 
     def _trivial_on(self, codes) -> bool:
-        g = self.group
-        L = g.lcm_order
-        for code in codes:
-            vec = g.dlog[code]
-            t = 0
-            for k, x, d in zip(self.kvec, vec, g.dims):
-                t += k * x * (L // d)
-            if t % L:
-                return False
-        return True
+        return all(self._phase(code) == 0 for code in codes)
 
     def conductor(self) -> Poly:
         """Smallest modulus inducing chi; asserts the inducing set is a divisor lattice."""

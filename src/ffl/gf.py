@@ -83,7 +83,7 @@ def _fp_is_irreducible(m, p):
     xq = _fp_powmod_x(p ** n, m, p)
     if _poly_sub(xq, x, p):
         return False
-    for ell in _prime_divisors(n):
+    for ell in prime_divisors(n):
         g = _fp_powmod_x(p ** (n // ell), m, p)
         if len(_fp_gcd(m, _poly_sub(g, x, p), p)) != 1:
             return False
@@ -98,7 +98,8 @@ def _poly_sub(a, b, p):
     return out
 
 
-def _prime_divisors(n):
+def prime_divisors(n: int):
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
     out = []
     d = 2
     while d * d <= n:
@@ -158,7 +159,7 @@ class FieldSpec:
     def _order(self, a: int) -> int:
         n = self.q - 1
         order = n
-        for ell in _prime_divisors(n):
+        for ell in prime_divisors(n):
             while order % ell == 0:
                 x, k = 1, order // ell
                 g = a

@@ -48,7 +48,7 @@ def _divisor_bucket_sum(g: UnitGroup, xe, xo):
     X = xe + xo sqrt(q) on the unit grid and X_F(r) its sum over the units = r
     mod F: the sum of X(x) X(y) weighted by the primitive pair sum of (x, y)."""
     R, q = g.modulus, g.field.q
-    pos = g.code_index[list(g.unit_codes)]
+    pos = g.code_index[g.unit_codes]
     e_units = xe.reshape(-1)[pos]
     o_units = xo.reshape(-1)[pos]
     a = b = 0
@@ -93,17 +93,21 @@ def _check_convolution_bound(q: int, se, so):
         raise BudgetError(f"exact fourth moment needs sums up to {bound}, beyond int64")
 
 
-def moment2_chars(R: Poly, budget: int = None) -> float:
-    """Sum over primitive chi mod R of |L(1/2, chi)|^2, by direct character sums."""
+def _moment_chars(R: Poly, power: int, budget: int = None) -> float:
+    """Sum over primitive chi mod R of |L(1/2, chi)|^power, by direct character sums."""
     q = R.field.q
     if R.deg == 0:
-        return abs(zeta_a(q, 0.5)) ** 2
+        return abs(zeta_a(q, 0.5)) ** power
     g = unit_group(R, budget)
-    table = l_half_table(g)
+    vals = np.abs(l_half_table(g)) ** power
     mask = primitive_mask(g)
-    vals = np.abs(np.asarray(table)) ** 2
-    return float(np.sum(vals, where=np.asarray(mask)) if mask.shape else
+    return float(np.sum(vals, where=mask) if mask.shape else
                  (float(vals) if mask else 0.0))
+
+
+def moment2_chars(R: Poly, budget: int = None) -> float:
+    """Sum over primitive chi mod R of |L(1/2, chi)|^2."""
+    return _moment_chars(R, 2, budget)
 
 
 def moment2_moebius_exact(R: Poly) -> QSqrt:
@@ -152,10 +156,9 @@ def moment2_formula(R: Poly, variant: str = "proof_final") -> QSqrt:
 
 
 def moment2_formula_report(R: Poly, variant: str = "proof_final") -> MomentReport:
-    terms = moment2_formula_terms(R, variant)
-    total = terms["degree_term"] + terms["prime_sum_term"] + terms["half_power_term"]
+    total = moment2_formula(R, variant)
     return MomentReport(to_text(R), f"moment2_formula[{variant}]", total,
-                        total.to_float(), terms={k: v for k, v in terms.items()})
+                        total.to_float(), terms=moment2_formula_terms(R, variant))
 
 
 def moment2_tamam_prime(Q: Poly, sign: str = "minus") -> QSqrt:
@@ -188,15 +191,7 @@ def moment2_tamam_orthogonality(Q: Poly) -> QSqrt:
 
 def moment4_chars(R: Poly, budget: int = None) -> float:
     """Sum over primitive chi mod R of |L(1/2, chi)|^4."""
-    q = R.field.q
-    if R.deg == 0:
-        return abs(zeta_a(q, 0.5)) ** 4
-    g = unit_group(R, budget)
-    table = l_half_table(g)
-    mask = primitive_mask(g)
-    vals = np.abs(np.asarray(table)) ** 4
-    return float(np.sum(vals, where=np.asarray(mask)) if mask.shape else
-                 (float(vals) if mask else 0.0))
+    return _moment_chars(R, 4, budget)
 
 
 def moment4_moebius_exact(R: Poly) -> QSqrt:

@@ -6,12 +6,13 @@ coefficient vectors from the highest power down, which is the order the
 CLI and all deterministic listings use.
 """
 
+import math
 import os
 import random
 from functools import lru_cache
 
 from .errors import PreconditionError
-from .gf import FieldSpec
+from .gf import FieldSpec, prime_divisors
 
 DEFAULT_MAX_TABLE = 1 << 24
 
@@ -321,23 +322,9 @@ def enumerate_monic(field: FieldSpec, n: int):
         yield from_code(field, base + low)
 
 
-def enumerate_monic_upto(field: FieldSpec, maxdeg: int):
-    for n in range(maxdeg + 1):
-        yield from enumerate_monic(field, n)
-
-
 def _int_mu(n: int) -> int:
-    out, d = 1, 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if n > 1:
-        out = -out
-    return out
+    primes = prime_divisors(n)
+    return (-1) ** len(primes) if math.prod(primes) == n else 0
 
 
 def count_primes_exact(field_or_q, n: int) -> int:
@@ -373,20 +360,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def _prime_divisors_int(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(a: Poly) -> bool:
     """Rabin criterion; requires deg a >= 1."""
     if a.deg < 1:
@@ -396,7 +369,7 @@ def is_irreducible(a: Poly) -> bool:
     xq = powmod(T, q ** n, a)
     if xq != T % a:
         return False
-    for ell in _prime_divisors_int(n):
+    for ell in prime_divisors(n):
         g = powmod(T, q ** (n // ell), a) - (T % a)
         if g.is_zero() or poly_gcd(g, a).deg != 0:
             return False
@@ -411,11 +384,6 @@ def enumerate_primes(field: FieldSpec, n: int):
     out = tuple(p for p in enumerate_monic(field, n) if is_irreducible(p))
     assert len(out) == count_primes_exact(field, n)
     return out
-
-
-def primes_upto(field: FieldSpec, maxdeg: int):
-    for n in range(1, maxdeg + 1):
-        yield from enumerate_primes(field, n)
 
 
 # -- factorization ---------------------------------------------------------

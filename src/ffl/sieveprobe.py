@@ -348,11 +348,8 @@ def off_diagonal_count(F: Poly, z1: int, z2: int, a: int = 1,
     q1 = pair_counts(z1)
     q2 = pair_counts(z2)
     conv = group_convolve(q1, q2)
-    if g.dims:
-        a_vec = g.dlog[a] if F.deg > 0 else ()
-        congruent = int(conv[a_vec])
-    else:
-        congruent = int(conv.reshape(-1)[0])
+    # a mod F has code a, or 0 when F = 1
+    congruent = int(conv.reshape(-1)[g.code_index[a % F.norm()]])
     equal = 0
     if a == 1 and (z1 - z2) % 2 == 0:
         excl = tuple(p.deg for p, _ in factor(F)) if F.deg else ()

@@ -132,7 +132,7 @@ def test_criterion_05_orthogonality():
                 if not g.dims:
                     continue
                 q = F.q
-                X = np.array([g.dlog[u] for u in g.unit_codes], dtype=np.int64)
+                X = np.array([g.dlog_code(u) for u in g.unit_codes], dtype=np.int64)
                 dims = np.array(g.dims, dtype=np.int64)
                 L = g.lcm_order
                 K = np.array(list(itertools.product(*(range(dd) for dd in g.dims))),
@@ -143,7 +143,7 @@ def test_criterion_05_orthogonality():
                 expected = np.where(np.eye(g.phi, dtype=bool), float(g.phi), 0.0)
                 ok &= float(np.abs(orth - expected).max()) <= 1e-8 * g.phi
                 # even-character relation
-                consts = {g.dlog[c] for c in range(1, q) if c in g.dlog}
+                consts = {g.dlog_code(c) for c in range(1, q)} - {None}
                 diffs = (X[:, None, :] - X[None, :, :]) % dims
                 const_pair = np.zeros((g.phi, g.phi), dtype=bool)
                 for vec in consts:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,8 @@ from ffl.chargroup import (DirichletChar, UnitGroup, characters, conj_grid,
 from ffl.errors import BudgetError, PreconditionError
 from ffl.gf import field_make, field_of_order
 from ffl.multfun import divisors, phi, phi_star
-from ffl.polyring import (enumerate_monic, from_code, one, parse_poly, powmod,
-                          t_gen, to_pretty, zero)
+from ffl.polyring import (enumerate_monic, from_code, one, parse_poly, poly_gcd,
+                          powmod, t_gen, to_pretty, zero)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -24,7 +25,7 @@ def P2(s):
 
 def test_unit_group_examples():
     g = unit_group(P2("T^2"))
-    assert g.unit_codes == (1, 3)          # {1, 1+T}
+    assert g.unit_codes.tolist() == [1, 3]          # {1, 1+T}
     assert g.orders == (2,)
     assert from_code(F2, g.gens[0]) == P2("T+1")
     g3 = unit_group(P2("T^3"))
@@ -32,6 +33,9 @@ def test_unit_group_examples():
     assert from_code(F2, g3.gens[0]) == P2("T+1")
     g1 = unit_group(one(F2))
     assert g1.phi == 1 and g1.dims == ()
+    for shared in (g.unit_codes, g.code_index, g.kernel_codes(P2("T"))):
+        with pytest.raises(ValueError):    # cached groups are shared, so read-only
+            shared[0] = 5
 
 
 def mulmod(R, u, v):
@@ -72,15 +76,15 @@ def test_dlog_additivity_exhaustive():
             parse_poly(F3, "T^2+1") * t_gen(F3), parse_poly(F4, "[0,0,1]")]
     for R in mods:
         g = unit_group(R)
-        assert len(g.dlog) == g.phi == phi(R)
+        assert int((g.code_index >= 0).sum()) == g.phi == phi(R)
         prod_orders = 1
         for d in g.orders:
             prod_orders *= d
         assert prod_orders == g.phi
         for u in g.unit_codes:
             for v in g.unit_codes:
-                du, dv = g.dlog[u], g.dlog[v]
-                dp = g.dlog[mulmod(R, u, v)]
+                du, dv = g.dlog_code(u), g.dlog_code(v)
+                dp = g.dlog_code(mulmod(R, u, v))
                 assert all((x + y) % d == z
                            for x, y, z, d in zip(du, dv, dp, g.dims))
 
@@ -174,8 +178,8 @@ def test_primitive_pair_sum_vs_direct():
               P2("T^2") * P2("T+1")):
         g = unit_group(R)
         chs = [c for c in characters(R) if c.is_primitive()]
-        for a_code in list(g.dlog) [:12]:
-            for b_code in list(g.dlog)[:12]:
+        for a_code in g.unit_codes[:12].tolist():
+            for b_code in g.unit_codes[:12].tolist():
                 A = from_code(R.field, a_code)
                 B = from_code(R.field, b_code)
                 direct = sum(c.value(A) * c.value(B).conjugate() for c in chs)
@@ -222,7 +226,7 @@ def test_kvec_stability():
     a = UnitGroup(R)
     b = UnitGroup(R)
     assert a.gens == b.gens and a.orders == b.orders
-    assert a.dlog == b.dlog
+    assert np.array_equal(a.code_index, b.code_index)
 
 
 def test_dlog_additivity_large_group_exhaustive():
@@ -232,14 +236,14 @@ def test_dlog_additivity_large_group_exhaustive():
     R = parse_poly(F2, "[" + "0," * 11 + "1]")     # T^11
     g = UnitGroup(R)
     assert g.phi == 1024
-    assert sorted(g.dlog) == list(g.unit_codes)
-    assert len(set(g.dlog.values())) == g.phi
-    assert g.dlog[g.identity] == (0,) * len(g.dims)
+    assert np.flatnonzero(g.code_index >= 0).tolist() == g.unit_codes.tolist()
+    assert len({g.dlog_code(u) for u in g.unit_codes}) == g.phi
+    assert g.dlog_code(g.identity) == (0,) * len(g.dims)
     for j, gj in enumerate(g.gens):
         for u in g.unit_codes:
-            expected = list(g.dlog[u])
+            expected = list(g.dlog_code(u))
             expected[j] = (expected[j] + 1) % g.dims[j]
-            assert g.dlog[mulmod(R, u, gj)] == tuple(expected)
+            assert g.dlog_code(mulmod(R, u, gj)) == tuple(expected)
 
 
 def test_unit_group_golden():
@@ -276,8 +280,8 @@ def test_residue_and_kernel_codes_match_poly_arithmetic():
         for S in divisors(R):
             expected = [(u % S).code for u in units]
             assert g.residue_codes(S).tolist() == expected, (R, S)
-            kernel = tuple(c for c, u in zip(g.unit_codes, units) if (u % S).is_one())
-            assert g.kernel_codes(S) == (kernel if S.deg else g.unit_codes)
+            kernel = [c for c, u in zip(g.unit_codes.tolist(), units) if (u % S).is_one()]
+            assert g.kernel_codes(S).tolist() == (kernel if S.deg else g.unit_codes.tolist())
 
 
 def test_character_kvec_length_checked_before_reduction():
@@ -309,15 +313,56 @@ def test_trivial_grids_match_phase_grid_loop():
 
 
 def test_index_grids_match_per_code():
-    # code_index against flat_index code by code, and conj_grid against
-    # DirichletChar.conj character by character, phi(R) = 1 groups included
+    # code_index against Poly arithmetic code by code: -1 exactly at the
+    # codes sharing a factor with R, and at a unit u the dlog x of
+    # dlog_code(u) rebuilds u as prod g_j^{x_j} mod R; conj_grid against
+    # DirichletChar.conj character by character; phi(R) = 1 groups included
     for q, maxdeg in {2: 5, 3: 3, 4: 2, 9: 2}.items():
         F = field_of_order(q)
         for d in range(maxdeg + 1):
             for R in enumerate_monic(F, d):
                 g = unit_group(R)
-                want = [g.flat_index(c) if c in g.dlog else -1 for c in range(q ** d)]
-                assert g.code_index.tolist() == want, (q, R.code)
+                gens = [from_code(F, c) for c in g.gens]
+                for code in range(q ** d):
+                    A = from_code(F, code)
+                    is_unit = poly_gcd(A, R).deg == 0
+                    assert (g.code_index[code] >= 0) == is_unit, (q, R.code, code)
+                    if not is_unit:
+                        assert g.dlog_code(code) is None
+                        continue
+                    rebuilt = one(F)
+                    for gj, xj in zip(gens, g.dlog_code(code)):
+                        rebuilt = (rebuilt * powmod(gj, xj, R)) % R
+                    assert (rebuilt % R) == A, (q, R.code, code)
                 chars = characters(R)
                 conj = conj_grid(g).reshape(-1)
                 assert [chars[k] for k in conj] == [chi.conj() for chi in chars], (q, R.code)
+
+
+def test_unit_group_memory_per_unit():
+    # a built group keeps no per-unit Python objects: code_index (8 bytes per
+    # residue code, two codes per unit here) and the unit codes (8 bytes per unit)
+    R = parse_poly(F2, "T^12")
+    UnitGroup(R)                       # warm the field, factor and module caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = UnitGroup(R)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert g.phi == 2048 and g.code_index.size == 2 * g.phi
+    assert retained / g.phi <= 64, retained / g.phi
+
+
+def test_value_code_refuses_codes_outside_residues():
+    R = P2("T^3")
+    g = unit_group(R)
+    chi = characters(R)[1]
+    assert chi.value_code(0) == 0j and g.dlog_code(2) is None      # 0 and T
+    assert chi.value_code(7) != 0j
+    for bad in (-1, -8, 8, 9, 1 << 40):
+        with pytest.raises(PreconditionError):
+            chi.value_code(bad)
+        with pytest.raises(PreconditionError):
+            g.dlog_code(bad)
